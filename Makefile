@@ -1,12 +1,12 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test chaos cluster predictive sampled prune obs docs linkcheck loadtest bench bench-all benchcmp examples experiments outputs clean
+.PHONY: all build vet test chaos cluster predictive sampled prune obs docs linkcheck loadtest perfsmoke bench bench-all benchcmp examples experiments outputs clean
 
 # Repetitions for the detector benchmarks; raise for benchstat-grade noise
 # bounds (e.g. `make bench BENCH_COUNT=10`).
 BENCH_COUNT ?= 5
 
-all: build vet test obs docs linkcheck cluster loadtest prune
+all: build vet test obs docs linkcheck cluster loadtest prune perfsmoke
 
 build:
 	go build ./...
@@ -95,6 +95,13 @@ docs:
 # with `go test ./cmd/webracerbench -run TestLoadtestGolden -update`.
 loadtest:
 	go test -race -count=1 -run TestLoadtestGolden ./cmd/webracerbench
+
+# End-to-end benchmark smoke gate: every perfbench workload runs tiny in
+# both modes (end-to-end and traced), every output is checked against its
+# expected hash or cold bytes, and the printed metric names must match
+# BENCHMARK.json both ways. Builds into the gitignored .bench_build/.
+perfsmoke:
+	bash perfbench/run.sh --smoke
 
 # Documentation rot gate: every relative markdown link and backticked
 # `*.go` reference in the repo's *.md files must resolve to a real file.

@@ -198,6 +198,12 @@ type Node struct {
 	// been performed (used by the browser to avoid double instrumenting
 	// nested dynamic insertion).
 	Inserted bool
+
+	// label memoizes String, which every access and operation
+	// description asks for. labelKey is the input it was built from
+	// (Text for text nodes, the id attribute otherwise); a changed input
+	// rebuilds it. Tag and Serial never change after creation.
+	label, labelKey string
 }
 
 // ID returns the node's id attribute.
@@ -207,15 +213,26 @@ func (n *Node) String() string {
 	if n == nil {
 		return "<nil>"
 	}
-	if n.Tag == "#text" {
-		t := n.Text
-		if len(t) > 20 {
-			t = t[:20] + "…"
-		}
-		return fmt.Sprintf("#text(%q)", t)
+	key := n.Text
+	if n.Tag != "#text" {
+		key = n.ID()
 	}
-	if id := n.ID(); id != "" {
-		return fmt.Sprintf("<%s id=%q>", n.Tag, id)
+	if n.label == "" || key != n.labelKey {
+		n.label, n.labelKey = n.buildLabel(key), key
+	}
+	return n.label
+}
+
+// buildLabel renders String's label from its key (see Node.label).
+func (n *Node) buildLabel(key string) string {
+	if n.Tag == "#text" {
+		if len(key) > 20 {
+			key = key[:20] + "…"
+		}
+		return fmt.Sprintf("#text(%q)", key)
+	}
+	if key != "" {
+		return fmt.Sprintf("<%s id=%q>", n.Tag, key)
 	}
 	return fmt.Sprintf("<%s #%d>", n.Tag, n.Serial)
 }

@@ -249,3 +249,40 @@ func TestInsertIntoSelfPanics(t *testing.T) {
 	}()
 	n.AppendChild(n)
 }
+
+// TestStringLabelFollowsInputs: String memoizes its label, so the memo
+// must follow the inputs it reads — the id attribute for elements, the
+// text for text nodes.
+func TestStringLabelFollowsInputs(t *testing.T) {
+	d := newDoc()
+	div := d.NewNode("div")
+	anon := div.String()
+	if want := "<div #2>"; anon != want {
+		t.Fatalf("anonymous element = %q, want %q", anon, want)
+	}
+	div.Attrs["id"] = "menu"
+	if got, want := div.String(), `<div id="menu">`; got != want {
+		t.Fatalf("after setting id: %q, want %q", got, want)
+	}
+	div.Attrs["id"] = "nav"
+	if got, want := div.String(), `<div id="nav">`; got != want {
+		t.Fatalf("after changing id: %q, want %q", got, want)
+	}
+	delete(div.Attrs, "id")
+	if got := div.String(); got != anon {
+		t.Fatalf("after removing id: %q, want %q", got, anon)
+	}
+
+	txt := d.NewText("hello")
+	if got, want := txt.String(), `#text("hello")`; got != want {
+		t.Fatalf("text node = %q, want %q", got, want)
+	}
+	txt.Text = "a considerably longer text"
+	if got, want := txt.String(), `#text("a considerably longe…")`; got != want {
+		t.Fatalf("after changing text: %q, want %q", got, want)
+	}
+	txt.Text = ""
+	if got, want := txt.String(), `#text("")`; got != want {
+		t.Fatalf("after emptying text: %q, want %q", got, want)
+	}
+}

@@ -6,22 +6,33 @@ import "fmt"
 // handler attribute, or a timer string) and resolves variable bindings,
 // running the capture analysis that decides which locals are potentially
 // shared (§4.1).
+//
+// Results come from a bounded process-wide cache keyed by the source text
+// (parsecache.go): a script body parsed again returns the same *Program
+// (or the same error) as before. The returned Program is shared and must
+// not be modified.
 func Parse(src string) (*Program, error) {
+	return programs.parse(src)
+}
+
+// parse is the parser behind Parse. It also reports how many tokens the
+// source lexed to (0 when lexing failed), which sizes the cache entry.
+func parse(src string) (*Program, int, error) {
 	toks, err := Lex(src)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	p := &parser{toks: toks}
 	prog := &Program{base: base{Line: 1}}
 	for !p.at(TokEOF) {
 		s, err := p.statement()
 		if err != nil {
-			return nil, err
+			return nil, len(toks), err
 		}
 		prog.Body = append(prog.Body, s)
 	}
 	resolve(prog)
-	return prog, nil
+	return prog, len(toks), nil
 }
 
 type parser struct {

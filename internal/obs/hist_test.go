@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -153,4 +154,47 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 	if h.Count() != 8000 {
 		t.Fatalf("Count = %d, want 8000", h.Count())
 	}
+}
+
+// TestWallFuncSeparated: a wall-class scalar is read at export time,
+// shows on the operator views (MarshalJSON, WriteJSON, /metrics) and
+// stays out of Snapshot and the stable export.
+func TestWallFuncSeparated(t *testing.T) {
+	m := New()
+	m.Counter("a.count").Add(3)
+	var v int64 = 7
+	m.WallFunc("a.process", func() int64 { return v })
+
+	blob, err := m.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(blob) != `{"a.count":3,"a.process":7}` {
+		t.Fatalf("MarshalJSON = %s", blob)
+	}
+	v = 9
+	var full, stable bytes.Buffer
+	if err := m.WriteJSON(&full); err != nil {
+		t.Fatal(err)
+	}
+	if want := "{\n  \"a.count\": 3,\n  \"a.process\": 9\n}\n"; full.String() != want {
+		t.Fatalf("WriteJSON must read the value at export time:\ngot:  %q\nwant: %q", full.String(), want)
+	}
+	if err := m.WriteStableJSON(&stable); err != nil {
+		t.Fatal(err)
+	}
+	if want := "{\n  \"a.count\": 3\n}\n"; stable.String() != want {
+		t.Fatalf("stable export must exclude wall scalars:\ngot:  %q\nwant: %q", stable.String(), want)
+	}
+	if _, ok := m.Snapshot()["a.process"]; ok {
+		t.Fatal("Snapshot must exclude wall scalars")
+	}
+	rec := httptest.NewRecorder()
+	MetricsHandler(m).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if got := rec.Body.String(); got != "{\"a.count\":3,\"a.process\":9}\n" {
+		t.Fatalf("/metrics = %q", got)
+	}
+
+	var none *Metrics
+	none.WallFunc("x", func() int64 { return 1 }) // no-op, no panic
 }

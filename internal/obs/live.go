@@ -26,9 +26,9 @@ func ProgressHandler(snap func() map[string]any) http.Handler {
 
 // MetricsHandler serves the registry's current snapshot as sorted-key JSON
 // — the /metrics route of both the -live CLI endpoint and webracerd.
-// Histograms (wall-clock ones included — /metrics is the operator view,
-// not a determinism surface) render inline alongside the counters. A nil
-// registry serves an empty object.
+// Histograms and WallFunc scalars (the wall class included — /metrics is
+// the operator view, not a determinism surface) render inline alongside
+// the counters. A nil registry serves an empty object.
 func MetricsHandler(m *Metrics) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

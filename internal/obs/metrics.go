@@ -90,6 +90,7 @@ type Metrics struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	walls    map[string]func() int64
 }
 
 // New returns an enabled, empty registry.
@@ -98,6 +99,7 @@ func New() *Metrics {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
+		walls:    map[string]func() int64{},
 	}
 }
 
@@ -152,6 +154,23 @@ func (m *Metrics) WallHistogram(name, unit string, bounds []int64) *Histogram {
 	return m.histogram(name, unit, true, bounds)
 }
 
+// WallFunc registers a wall-class scalar: a value read from read each
+// time the registry is exported. It is for process-level state that no
+// run owns, such as a cache shared by every run in the process: like a
+// wall histogram's, its value depends on what else the process did, not
+// on the observed work alone. So /metrics, MarshalJSON and WriteJSON show
+// it as a bare integer, while Snapshot and WriteStableJSON — the golden
+// surfaces — leave it out. Registering a name again replaces its reader.
+// Nil registry → no-op.
+func (m *Metrics) WallFunc(name string, read func() int64) {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.walls[name] = read
+}
+
 // histogram is the shared lookup-or-create path.
 func (m *Metrics) histogram(name, unit string, wall bool, bounds []int64) *Histogram {
 	if m == nil {
@@ -192,6 +211,25 @@ func (m *Metrics) Snapshot() map[string]int64 {
 	return out
 }
 
+// exportScalars is Snapshot plus, when asked, the wall-class scalars,
+// read outside the lock: a reader may take locks of its own.
+func (m *Metrics) exportScalars(includeWall bool) map[string]int64 {
+	snap := m.Snapshot()
+	if m == nil || !includeWall {
+		return snap
+	}
+	m.mu.Lock()
+	reads := make(map[string]func() int64, len(m.walls))
+	for name, read := range m.walls {
+		reads[name] = read
+	}
+	m.mu.Unlock()
+	for name, read := range reads {
+		snap[name] = read()
+	}
+	return snap
+}
+
 // histSnapshot returns the registered histograms by name, optionally
 // excluding the wall-clock ones.
 func (m *Metrics) histSnapshot(includeWall bool) map[string]*Histogram {
@@ -221,10 +259,10 @@ func (m *Metrics) MarshalJSON() ([]byte, error) {
 	return m.marshal(true), nil
 }
 
-// marshal renders the compact encoding, including wall histograms only
+// marshal renders the compact encoding, including the wall class only
 // when asked.
 func (m *Metrics) marshal(includeWall bool) []byte {
-	snap := m.Snapshot()
+	snap := m.exportScalars(includeWall)
 	hists := m.histSnapshot(includeWall)
 	names := make([]string, 0, len(snap)+len(hists))
 	for name := range snap {
@@ -256,12 +294,13 @@ func (m *Metrics) marshal(includeWall bool) []byte {
 // WriteJSON writes the snapshot as indented JSON (one metric per line,
 // sorted), trailing newline included — the on-disk snapshot format.
 // Histograms (wall-clock ones included) render as one-line objects on
-// their metric's line.
+// their metric's line; wall-class scalars (WallFunc) as bare integers.
 func (m *Metrics) WriteJSON(w io.Writer) error {
 	return m.writeIndented(w, true)
 }
 
-// WriteStableJSON is WriteJSON minus the wall-clock histograms: every
+// WriteStableJSON is WriteJSON minus the wall class (wall-clock
+// histograms and WallFunc scalars): every
 // value it emits is a deterministic function of the observed work, so
 // the output is golden-testable byte for byte across runs, machines and
 // worker counts. The metricsdiff gate pins service snapshots through
@@ -273,7 +312,7 @@ func (m *Metrics) WriteStableJSON(w io.Writer) error {
 // writeIndented renders the one-metric-per-line form shared by the two
 // Write variants.
 func (m *Metrics) writeIndented(w io.Writer, includeWall bool) error {
-	snap := m.Snapshot()
+	snap := m.exportScalars(includeWall)
 	hists := m.histSnapshot(includeWall)
 	names := make([]string, 0, len(snap)+len(hists))
 	for name := range snap {

@@ -272,3 +272,28 @@ func TestRouterAttemptsHeaderAndIDPropagation(t *testing.T) {
 		return strings.Contains(backendLog.String(), `"reqId":"prop-1"`)
 	})
 }
+
+// TestParseCacheMetrics: /metrics carries the process-wide parse cache's
+// counters, and the stable export — the surface the service goldens pin
+// — does not.
+func TestParseCacheMetrics(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	names := []string{"js.parse.cache.hits", "js.parse.cache.misses", "js.parse.cache.evictions", "js.parse.cache.bytes"}
+	before := metric(t, ts, "js.parse.cache.hits")
+	for seed := 1; seed <= 3; seed++ {
+		post(t, ts, "/v1/detect", fmt.Sprintf(`{"site":%s,"seed":%d}`, racySite, seed))
+	}
+	for _, name := range names {
+		metric(t, ts, name) // fails unless present and scalar
+	}
+	if after := metric(t, ts, "js.parse.cache.hits"); after <= before {
+		t.Fatalf("js.parse.cache.hits = %d after three runs of one site, was %d", after, before)
+	}
+	var stable bytes.Buffer
+	if err := s.Metrics().WriteStableJSON(&stable); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(stable.String(), "js.parse.cache") {
+		t.Fatalf("stable export carries the process-level parse cache counters:\n%s", stable.String())
+	}
+}

@@ -42,6 +42,7 @@ import (
 
 	"webracer"
 	"webracer/internal/fault"
+	"webracer/internal/js"
 	"webracer/internal/obs"
 	"webracer/internal/pool"
 	"webracer/internal/report"
@@ -191,6 +192,7 @@ func NewServer(cfg Config) *Server {
 		workers = runtime.NumCPU()
 	}
 	m := obs.New()
+	parseCacheMetrics(m)
 	s := &Server{
 		cfg:          cfg,
 		metrics:      m,
@@ -238,6 +240,18 @@ func NewServer(cfg Config) *Server {
 	s.obsMW = newHTTPObs(m, cfg.AccessLog)
 	s.handler = s.obsMW.wrap(mux)
 	return s
+}
+
+// parseCacheMetrics puts the process-wide JS parse cache's counters on
+// the registry as js.parse.cache.{hits,misses,evictions,bytes}. Every run
+// in the process shares that cache, so its counters are not a function of
+// this server's work: they join the wall class, visible on /metrics and
+// absent from the stable export its goldens pin.
+func parseCacheMetrics(m *obs.Metrics) {
+	m.WallFunc("js.parse.cache.hits", func() int64 { return js.ParseCache().Hits })
+	m.WallFunc("js.parse.cache.misses", func() int64 { return js.ParseCache().Misses })
+	m.WallFunc("js.parse.cache.evictions", func() int64 { return js.ParseCache().Evictions })
+	m.WallFunc("js.parse.cache.bytes", func() int64 { return js.ParseCache().Bytes })
 }
 
 // Handler is the service's HTTP surface: the /v1 API plus /metrics,
@@ -450,6 +464,15 @@ func (s *Server) runJob(j *job, r *resolved) {
 	execStart := time.Now()
 	body, cacheable, err := s.execute(r)
 	s.hExecWall.Record(time.Since(execStart).Milliseconds())
+	if err == nil && cacheable {
+		// Persist before signalling completion, so a client that repeats
+		// its request the moment it has the answer finds it on disk even
+		// when the in-memory level could not keep it. The write stays
+		// outside the server lock — an fsync must not stall admissions.
+		// Best-effort: a failed write costs a recomputation after
+		// restart, never correctness (serve.store.errors counts it).
+		_ = s.store.Put(j.id, body)
+	}
 	s.mu.Lock()
 	if err != nil {
 		j.status = "failed"
@@ -473,12 +496,6 @@ func (s *Server) runJob(j *job, r *resolved) {
 	s.pruneHistoryLocked()
 	close(j.done)
 	s.mu.Unlock()
-	if err == nil && cacheable {
-		// Persist outside the server lock — an fsync must not stall
-		// admissions. Best-effort: a failed write costs a recomputation
-		// after restart, never correctness (serve.store.errors counts it).
-		_ = s.store.Put(j.id, body)
-	}
 }
 
 // pruneHistoryLocked caps the finished-job records at cfg.JobHistory,

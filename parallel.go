@@ -10,8 +10,12 @@ import (
 // ParallelConfig tunes the parallel sweep engine. Every sweep unit — one
 // (site, seed) simulation — is a self-contained deterministic
 // computation: each Run builds its own browser, loader, interpreter and
-// seeded RNGs and never touches package-level mutable state, so sweeps
-// shard over workers without changing any result. The engine guarantees
+// seeded RNGs, so sweeps shard over workers without changing any result.
+// The one package-level mutable state a run touches is the JS parse
+// cache (internal/js), which hands every run that parses the same script
+// bytes the same resolved *js.Program. It cannot change a result: the key
+// is the exact source text, and no run ever writes to an AST
+// (parsecache_race_test.go checks both under -race). The engine guarantees
 // results are aggregated in input order regardless of completion order;
 // a sweep at Workers == 8 is byte-for-byte identical to Workers == 1
 // (parallel_test.go proves this on exported sessions).
