@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test chaos cluster predictive sampled prune obs docs linkcheck loadtest perfsmoke bench bench-all benchcmp examples experiments outputs clean
+.PHONY: all build vet test chaos cluster predictive prune obs docs linkcheck loadtest perfsmoke bench bench-all benchcmp examples experiments outputs clean
 
 # Repetitions for the detector benchmarks; raise for benchstat-grade noise
 # bounds (e.g. `make bench BENCH_COUNT=10`).
@@ -47,18 +47,6 @@ predictive:
 	go test -race -run 'TestPredictive|TestWitness|TestDifferential' . ./internal/hb/ ./internal/race/
 	go test -run '^$$' -fuzz FuzzPredictiveSound -fuzztime 30s .
 	go run ./cmd/experiments -predictive
-
-# Sampled-tier battery under the Go race detector: the rate-1 exactness
-# and subset/monotonicity unit layer, the corpus differential (subset at
-# every rate, byte identity at rate 1), worker-count determinism, the
-# escalation contract, the tiering API validation tests, the serve-layer
-# tier tests (capability endpoint, default tier, cache cross-population),
-# and the pinned sampled metrics golden. The E11 table reprints the
-# cost/recall trade.
-sampled:
-	go test -race -run 'TestSampled|TestDifferentialSampled|TestConfigValidate|TestDetectorKindRoundTrip|TestWithConfigDelegation|TestRunPanics|TestGoldenMetricsSampled|TestPackEpoch' . ./internal/race/ ./internal/hb/
-	go test -race -run 'TestSampled|TestDetectors|TestEscalation|TestDefaultDetector' ./internal/serve/
-	go run ./cmd/experiments -sampled
 
 # Schedule-pruning battery under the Go race detector: the pruned-vs-
 # unpruned differential (byte-identical sweeps at workers 1 vs 4 across
@@ -108,11 +96,10 @@ perfsmoke:
 linkcheck:
 	go run ./scripts/checklinks
 
-# The detector/replay benchmarks (the E4 speedup battery plus the E11
-# sampled-tier arms), repeated BENCH_COUNT times so scripts/benchcmp.sh
-# can bound the noise. The -json stream is rendered back to the usual
-# text on stdout while scripts/benchjson.sh distills it into
-# machine-readable BENCH_pr7.json.
+# The detector/replay benchmarks (the E4 speedup battery), repeated
+# BENCH_COUNT times so scripts/benchcmp.sh can bound the noise. The -json
+# stream is rendered back to the usual text on stdout while
+# scripts/benchjson.sh distills it into machine-readable BENCH_pr7.json.
 bench:
 	go test -run '^$$' -bench 'Detector|ReplayVC' -benchmem -count $(BENCH_COUNT) -json . | ./scripts/benchjson.sh BENCH_pr7.json
 

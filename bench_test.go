@@ -243,57 +243,6 @@ func BenchmarkDetectorVCEpoch(b *testing.B) {
 	b.ReportMetric(float64(races), "races")
 }
 
-// BenchmarkDetectorSampled is the tier battery's cost arm (E11): the
-// sampled shadow-word detector at the default rate over the same recorded
-// traces as the E4 arms, construction included. The ISSUE's allocation
-// criterion compares its allocs/op against BenchmarkDetectorLiveVC — the
-// flat shadow array plus the location index are the only steady-state
-// state, so the gap is large by design.
-func BenchmarkDetectorSampled(b *testing.B) {
-	results := recordedCorpus(b)
-	b.ResetTimer()
-	hits := 0
-	for i := 0; i < b.N; i++ {
-		hits = 0
-		for _, res := range results {
-			trace := res.Browser.Trace()
-			clocks := hb.NewClocks(res.Browser.HB)
-			d := race.NewSampled(clocks, DefaultSampleRate, 1, race.LocHint(len(trace)/4))
-			hits += len(race.Replay(trace, d))
-		}
-	}
-	b.ReportMetric(float64(hits), "hits")
-}
-
-// BenchmarkDetectorSampledFullRate is the same workload at rate 1.0 — the
-// tier's exact configuration, whose hit set equals the pairwise arm's
-// report set (asserted, so the benchmark doubles as a correctness check).
-func BenchmarkDetectorSampledFullRate(b *testing.B) {
-	results := recordedCorpus(b)
-	want := 0
-	for _, res := range results {
-		trace := res.Browser.Trace()
-		pw := race.NewPairwise(hb.NewClocks(res.Browser.HB), race.LocHint(len(trace)/4))
-		want += len(race.Replay(trace, pw))
-	}
-	b.ResetTimer()
-	hits := 0
-	for i := 0; i < b.N; i++ {
-		hits = 0
-		for _, res := range results {
-			trace := res.Browser.Trace()
-			clocks := hb.NewClocks(res.Browser.HB)
-			d := race.NewSampled(clocks, 1.0, 1, race.LocHint(len(trace)/4))
-			hits += len(race.Replay(trace, d))
-		}
-	}
-	b.StopTimer()
-	if hits != want {
-		b.Fatalf("rate-1 sampled found %d hits, pairwise %d", hits, want)
-	}
-	b.ReportMetric(float64(hits), "hits")
-}
-
 // BenchmarkReplayVC measures the public ReplayVC entry point and reports
 // its speedup over the pre-epoch dense path on the same recorded traces
 // (the ISSUE's ≥2x acceptance criterion). Race counts of the two arms are

@@ -9,7 +9,7 @@
 //
 //	experiments [-sites 100] [-seed 1] [-workers N] [-progress]
 //	            [-table1] [-table2] [-perf] [-ablate] [-extensions]
-//	            [-faults] [-obs] [-predictive] [-sampled] [-prune]
+//	            [-faults] [-obs] [-predictive] [-prune]
 //	            [-metrics-dir DIR] [-trace FILE] [-pprof PREFIX]
 //
 // With no experiment flags, everything runs. Corpus sweeps (Tables 1-2,
@@ -58,7 +58,6 @@ func main() {
 		flt    = flag.Bool("faults", false, "deterministic fault injection: races vs fault rate (E8)")
 		obsE   = flag.Bool("obs", false, "deterministic telemetry: per-site instrumentation table from metrics (E9)")
 		predE  = flag.Bool("predictive", false, "single-trace predictive detection: sweep-recovery recall table (E10)")
-		sampE  = flag.Bool("sampled", false, "sampled fast tier: cost vs recall vs the exact detector (E11)")
 		pruneE = flag.Bool("prune", false, "HB-equivalence schedule pruning: detector passes saved at identical results (E12)")
 		mDir   = flag.String("metrics-dir", "", "with -obs: also write each site's metrics JSON into this directory (files match testdata/golden/metrics-*.json)")
 		traceF = flag.String("trace", "", "with -obs: also write fig1's virtual-time Chrome trace to this file")
@@ -67,7 +66,7 @@ func main() {
 	flag.IntVar(&workers, "workers", runtime.NumCPU(), "parallel workers for corpus sweeps (identical results at any count)")
 	flag.BoolVar(&showProgress, "progress", false, "stream live per-worker sweep counters to stderr")
 	flag.Parse()
-	all := !*table1 && !*table2 && !*perf && !*ablate && !*exts && !*flt && !*obsE && !*predE && !*sampE && !*pruneE
+	all := !*table1 && !*table2 && !*perf && !*ablate && !*exts && !*flt && !*obsE && !*predE && !*pruneE
 
 	if *pprofP != "" {
 		finish, err := obs.Profile(*pprofP)
@@ -105,9 +104,6 @@ func main() {
 	}
 	if *predE || all {
 		runPredictive(*seed)
-	}
-	if *sampE || all {
-		runSampledTier(*seed, *sites)
 	}
 	if *pruneE || all {
 		runPrune(*seed)
@@ -631,36 +627,6 @@ func runObs(seed int64, metricsDir, traceFile string) {
 		}
 	}
 
-	// The sampled tier's counters (race.sampled.*) are pinned on the same
-	// corpus site the table above covers, at the default rate, so
-	// scripts/metricsdiff.sh gates that counter family too.
-	scfg := webracer.DefaultConfig(seed)
-	scfg.Telemetry = true
-	scfg.Detector = webracer.DetectorSampled
-	sres := webracer.RunConfig(sitegen.Generate(sitegen.SpecFor(1, 7)), scfg)
-	if sres.Metrics != nil {
-		snap := sres.Metrics.Snapshot()
-		fmt.Printf("%-12s sampled counters: rate %d%%, %d/%d locations sampled, %d hit(s), escalated %d\n",
-			"sitegen-07", snap["race.sampled.rate_pct"], snap["race.sampled.sampled_locations"],
-			snap["race.sampled.locations"], snap["race.sampled.hits"], snap["race.sampled.escalated"])
-		if metricsDir != "" {
-			path := metricsDir + "/metrics-sampled.json"
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-			} else {
-				if err := sres.Metrics.WriteJSON(f); err == nil {
-					err = f.Close()
-				} else {
-					f.Close()
-				}
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "experiments:", err)
-				}
-			}
-		}
-	}
-
 	// The pruning layer's counters (explore.classes.*) are pinned on a
 	// pruned 16-seed sweep of the same sched-00 page, so
 	// scripts/metricsdiff.sh gates that counter family too.
@@ -732,89 +698,6 @@ func runPredictive(seed int64) {
 	fmt.Printf("(%s; recall counts sweep locations only, so predicted-only races\n",
 		sweepStats(len(cases)*(sweepSeeds+1), time.Since(start)))
 	fmt.Printf(" never inflate it. See EXPERIMENTS.md E10 and DESIGN.md \"Predictive detection\".)\n\n")
-}
-
-// runSampledTier is E11: what the sampled fast tier costs and recovers at
-// each rate, against the exact detector's ground truth on the same corpus
-// slice. Cost shows up as the fraction of locations shadowed and accesses
-// checked; recovery as racing locations recalled (escalation re-runs a
-// hit site exactly, so one cheap hit buys that site's full location set).
-func runSampledTier(seed int64, n int) {
-	if n > 50 {
-		n = 50
-	}
-	gen := func(i int) *loader.Site { return sitegen.Generate(sitegen.SpecFor(seed, i)) }
-	fmt.Printf("== E11: sampled tier cost vs recall over %d corpus sites ==\n", n)
-	start := time.Now()
-
-	exactCfg := webracer.DefaultConfig(seed)
-	exactCfg.Detector = webracer.DetectorPairwiseVC
-	exact, err := webracer.RunCorpusParallel(n, gen, exactCfg, webracer.ParallelConfig{Workers: workers})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		return
-	}
-	perSite := make([]map[string]bool, n)
-	exactLocs, racySites := 0, 0
-	for i, res := range exact {
-		perSite[i] = map[string]bool{}
-		for _, r := range res.RawReports {
-			perSite[i][r.Loc.String()] = true
-		}
-		exactLocs += len(perSite[i])
-		if len(perSite[i]) > 0 {
-			racySites++
-		}
-	}
-	fmt.Printf("exact ground truth (pairwise-vc): %d racing location(s) on %d/%d sites\n",
-		exactLocs, racySites, n)
-
-	fmt.Printf("%-6s %9s %9s %6s %9s %8s %10s\n",
-		"rate", "sampled%", "checked%", "hits", "escalate", "recall", "time")
-	for _, rate := range []float64{0.1, 0.25, 0.5, 0.75, 1.0} {
-		cfg := webracer.DefaultConfig(seed)
-		cfg.Detector = webracer.DetectorSampled
-		cfg.SampleRate = rate
-		t0 := time.Now()
-		results, err := webracer.RunCorpusParallel(n, gen, cfg, webracer.ParallelConfig{Workers: workers})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			return
-		}
-		var sampledLocs, totalLocs, checked, skipped int64
-		hits, escalations, recovered := 0, 0, 0
-		for i, res := range results {
-			si := res.Sampled
-			if si == nil {
-				continue
-			}
-			sampledLocs += int64(si.Stats.SampledLocations)
-			totalLocs += int64(si.Stats.Locations)
-			checked += si.Stats.Checked
-			skipped += si.Stats.Skipped
-			hits += si.Hits
-			if si.Escalated {
-				escalations++
-			}
-			for _, r := range res.RawReports {
-				if perSite[i][r.Loc.String()] {
-					recovered++
-				}
-			}
-		}
-		recall := 100.0
-		if exactLocs > 0 {
-			recall = 100 * float64(recovered) / float64(exactLocs)
-		}
-		fmt.Printf("%-6.2f %8.1f%% %8.1f%% %6d %9d %7.0f%% %10v\n",
-			rate, 100*float64(sampledLocs)/float64(totalLocs),
-			100*float64(checked)/float64(checked+skipped),
-			hits, escalations, recall, time.Since(t0).Round(time.Millisecond))
-	}
-	fmt.Printf("(%s; sampled reports are a subset of the exact detector's at every\n",
-		sweepStats(n*6, time.Since(start)))
-	fmt.Printf(" rate and byte-identical at rate 1.0 — tier_test.go asserts both.\n")
-	fmt.Printf(" See EXPERIMENTS.md E11 and DESIGN.md \"Sampled tier\".)\n\n")
 }
 
 // runPrune is E12: HB-equivalence schedule pruning on the schedule- and

@@ -11,8 +11,7 @@
 //	-explore            automatic exploration after load (default true)
 //	-filters            apply the §5.3 report filters
 //	-harm               classify harmful races via the adversarial replay
-//	-detector pairwise  pairwise | pairwise-vc | accessset | predictive | sampled
-//	-rate R             sampled tier location sampling rate in (0, 1] (default 0.25)
+//	-detector pairwise  pairwise | pairwise-vc | accessset | predictive
 //	-seeds N            run under N seeds and report the union of races
 //	-prune              one detector pass per canonical trace class in -seeds sweeps
 //	-faults N           also sweep N deterministic fault plans (error-path races)
@@ -54,8 +53,7 @@ func run() int {
 		expl      = flag.Bool("explore", true, "simulate user interactions after load (§5.2.2)")
 		filters   = flag.Bool("filters", false, "apply the §5.3 report filters")
 		harm      = flag.Bool("harm", false, "classify harmful races (adversarial replay)")
-		detector  = flag.String("detector", "pairwise", "race detector: pairwise | pairwise-vc | accessset | predictive | sampled")
-		rate      = flag.Float64("rate", 0, "sampled tier location sampling rate in (0, 1]; 0 means the default (requires -detector sampled)")
+		detector  = flag.String("detector", "pairwise", "race detector: pairwise | pairwise-vc | accessset | predictive")
 		verbose   = flag.Bool("v", false, "print page errors and console output")
 		dotFile   = flag.String("dot", "", "write the happens-before graph in Graphviz DOT form to this file")
 		jsonFile  = flag.String("json", "", "write the full session (ops, edges, races) as JSON to this file")
@@ -126,14 +124,7 @@ func run() int {
 		return 2
 	}
 	opts = append(opts, webracer.WithDetector(kind))
-	if *rate != 0 {
-		opts = append(opts, webracer.WithSampleRate(*rate))
-	}
 	cfg := webracer.NewConfig(opts...)
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
 
 	pcfg := webracer.ParallelConfig{Workers: *workers}
 	var counters *webracer.Progress
@@ -230,15 +221,6 @@ func run() int {
 		fmt.Printf(" after filtering (%d raw)", len(res.RawReports))
 	}
 	fmt.Println()
-	if si := res.Sampled; si != nil {
-		if si.Escalated {
-			fmt.Printf("  sampled tier: rate %.2f, %d hit(s) — escalated to %s, reports above are exact\n",
-				si.Rate, si.Hits, webracer.EscalationDetector)
-		} else {
-			fmt.Printf("  sampled tier: rate %.2f, checked %d/%d locations, no hits\n",
-				si.Rate, si.Stats.SampledLocations, si.Stats.Locations)
-		}
-	}
 	if p := res.Predictive; p != nil {
 		fmt.Printf("  predictive: %d observed, %d predicted beyond the observed schedule (%d/%d witnesses confirmed)\n",
 			p.Stats.Observed, p.Stats.Predicted, p.Stats.Confirmed, p.Stats.Predicted)

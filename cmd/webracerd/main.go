@@ -13,9 +13,6 @@
 //	-sweep-workers N     per-job parallelism of sweep endpoints (default 1)
 //	-default-timeout D   per-job wall budget when the request sets none (default 30s)
 //	-max-timeout D       clamp on requested budgets (default 2m; 0 = no clamp)
-//	-default-detector K  tier for requests that omit "detector" (default pairwise;
-//	                     set "sampled" to route bulk traffic through the cheap tier,
-//	                     which escalates to the exact detector on any hit)
 //	-max-body N          request-body byte limit (default 8 MiB; over → 413)
 //	-store-dir DIR       persist results to DIR: atomic checksummed writes,
 //	                     corrupt entries quarantined and recovered around at boot
@@ -60,7 +57,6 @@ import (
 	"syscall"
 	"time"
 
-	"webracer"
 	"webracer/internal/serve"
 )
 
@@ -76,7 +72,6 @@ func run() int {
 		sweepWorkers = flag.Int("sweep-workers", 1, "per-job parallelism of sweep endpoints (output is identical at any value)")
 		defTimeout   = flag.Duration("default-timeout", 30*time.Second, "per-job wall budget when the request sets none")
 		maxTimeout   = flag.Duration("max-timeout", 2*time.Minute, "clamp on requested per-job budgets (0: no clamp)")
-		defDetector  = flag.String("default-detector", "", "detector for requests that omit one (default pairwise; \"sampled\" routes bulk traffic through the cheap tier)")
 		maxBody      = flag.Int64("max-body", 8<<20, "request-body byte limit (over: 413)")
 		storeDir     = flag.String("store-dir", "", "persist results to this directory (atomic, checksummed; survives restarts)")
 		accessLog    = flag.String("access-log", "", "structured JSON access log: \"-\" for stdout, else a file path (appended); empty disables")
@@ -91,10 +86,6 @@ func run() int {
 	)
 	flag.Parse()
 
-	if _, err := webracer.ParseDetector(*defDetector); err != nil {
-		fmt.Fprintln(os.Stderr, "webracerd:", err)
-		return 2
-	}
 	var accessW io.Writer
 	if *accessLog == "-" {
 		accessW = os.Stdout
@@ -108,16 +99,15 @@ func run() int {
 		accessW = f
 	}
 	s := serve.NewServer(serve.Config{
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		CacheBytes:      *cacheBytes,
-		SweepWorkers:    *sweepWorkers,
-		DefaultTimeout:  *defTimeout,
-		MaxTimeout:      *maxTimeout,
-		DefaultDetector: *defDetector,
-		MaxBodyBytes:    *maxBody,
-		StoreDir:        *storeDir,
-		AccessLog:       accessW,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		CacheBytes:     *cacheBytes,
+		SweepWorkers:   *sweepWorkers,
+		DefaultTimeout: *defTimeout,
+		MaxTimeout:     *maxTimeout,
+		MaxBodyBytes:   *maxBody,
+		StoreDir:       *storeDir,
+		AccessLog:      accessW,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

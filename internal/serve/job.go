@@ -35,15 +35,10 @@ type Request struct {
 	Exhaustive bool `json:"exhaustive,omitempty"`
 	// Filters applies the §5.3 report filters.
 	Filters bool `json:"filters,omitempty"`
-	// Detector names the algorithm: pairwise, pairwise-vc, accessset,
-	// predictive or sampled. Absent means the server's configured default
-	// tier (Config.DefaultDetector; pairwise out of the box). GET
-	// /v1/detectors lists the accepted spellings.
+	// Detector names the algorithm: pairwise, pairwise-vc, accessset or
+	// predictive. Absent means pairwise. GET /v1/detectors lists the
+	// accepted spellings.
 	Detector string `json:"detector,omitempty"`
-	// SampleRate is the sampled tier's location sampling rate in (0, 1].
-	// Absent with the sampled detector means webracer.DefaultSampleRate;
-	// setting it with an exact detector is a 400.
-	SampleRate *float64 `json:"sampleRate,omitempty"`
 	// TimeoutMS caps the run's wall-clock time. 0 (or absent) applies the
 	// server default; positive values are clamped to the server maximum.
 	TimeoutMS int64 `json:"timeoutMS,omitempty"`
@@ -66,7 +61,7 @@ type Request struct {
 	// The sweep's result bytes are byte-identical to the unpruned
 	// sweep's modulo the added classes field. Requires a
 	// trace-replayable detector (pairwise, accessset, pairwise-vc);
-	// combining it with predictive or sampled is a 400. Ignored by the
+	// combining it with predictive is a 400. Ignored by the
 	// other endpoints.
 	Prune bool `json:"prune,omitempty"`
 	// Plans is /v1/faultsweep's number of derived fault plans (default 6).
@@ -202,26 +197,11 @@ func (s *Server) resolve(kind jobKind, req *Request) (*resolved, error) {
 		cfg.Explore, cfg.Exhaustive = true, true
 	}
 	cfg.Filters = req.Filters
-	detName := req.Detector
-	if detName == "" {
-		detName = s.cfg.DefaultDetector
-	}
-	det, err := webracer.ParseDetector(detName)
+	det, err := webracer.ParseDetector(req.Detector)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Detector = det
-	if req.SampleRate != nil {
-		cfg.SampleRate = *req.SampleRate
-	}
-	if cfg.Detector == webracer.DetectorSampled && cfg.SampleRate == 0 {
-		// Pin the default rate explicitly so "sampled" and "sampled at the
-		// default rate" resolve to the same cache key.
-		cfg.SampleRate = webracer.DefaultSampleRate
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	cfg.EntryURL = req.Entry
 	if cfg.EntryURL == "" {
 		cfg.EntryURL = "index.html"
@@ -254,8 +234,7 @@ func (s *Server) resolve(kind jobKind, req *Request) (*resolved, error) {
 			return nil, fmt.Errorf("unknown sweep mode %q (want seeds or delay-one)", req.Mode)
 		}
 		if req.Prune {
-			switch cfg.Detector {
-			case webracer.DetectorPredictive, webracer.DetectorSampled:
+			if cfg.Detector == webracer.DetectorPredictive {
 				return nil, fmt.Errorf("prune requires a trace-replayable detector (pairwise, accessset, pairwise-vc); got %q", cfg.Detector)
 			}
 			r.prune = true
@@ -346,18 +325,15 @@ type keySpec struct {
 	Exhaustive bool   `json:"exhaustive"`
 	Filters    bool   `json:"filters"`
 	Detector   string `json:"detector"`
-	// SampleRate is non-zero only for the sampled tier (resolve pins the
-	// default rate), so every pre-tier key hashes exactly as before.
-	SampleRate float64 `json:"sampleRate,omitempty"`
-	TimeoutMS  int64   `json:"timeoutMS"`
-	Fault      string  `json:"fault,omitempty"`
-	Session    bool    `json:"session,omitempty"`
-	Seeds      int     `json:"seeds,omitempty"`
-	Mode       string  `json:"mode,omitempty"`
-	// Prune is set only for pruned sweep jobs (omitempty, like
-	// SampleRate), so every pre-existing key hashes exactly as before. A
-	// pruned and an unpruned sweep of the same inputs are distinct jobs:
-	// their response bodies differ (the classes field).
+	TimeoutMS  int64  `json:"timeoutMS"`
+	Fault      string `json:"fault,omitempty"`
+	Session    bool   `json:"session,omitempty"`
+	Seeds      int    `json:"seeds,omitempty"`
+	Mode       string `json:"mode,omitempty"`
+	// Prune is set only for pruned sweep jobs (omitempty), so every
+	// pre-existing key hashes exactly as before. A pruned and an
+	// unpruned sweep of the same inputs are distinct jobs: their
+	// response bodies differ (the classes field).
 	Prune     bool  `json:"prune,omitempty"`
 	Plans     int   `json:"plans,omitempty"`
 	FaultSeed int64 `json:"faultSeed,omitempty"`
@@ -383,7 +359,6 @@ func (r *resolved) computeKey() string {
 		Exhaustive: r.cfg.Exhaustive,
 		Filters:    r.cfg.Filters,
 		Detector:   r.cfg.Detector.String(),
-		SampleRate: r.cfg.SampleRate,
 		TimeoutMS:  r.cfg.RunTimeout.Milliseconds(),
 		Session:    r.session,
 		Seeds:      r.seeds,

@@ -100,11 +100,9 @@ func TestPrunedSweepDelayOne(t *testing.T) {
 // 400 at resolve time — nothing invalid is enqueued.
 func TestPruneDetectorRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	for _, det := range []string{"predictive", "sampled"} {
-		resp, b := post(t, ts, "/v1/sweep",
-			`{"site":`+racySite+`,"prune":true,"detector":"`+det+`"}`)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("prune with %s: %d %s, want 400", det, resp.StatusCode, b)
-		}
+	resp, b := post(t, ts, "/v1/sweep",
+		`{"site":`+racySite+`,"prune":true,"detector":"predictive"}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("prune with predictive: %d %s, want 400", resp.StatusCode, b)
 	}
 }

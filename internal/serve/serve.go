@@ -90,13 +90,6 @@ type Config struct {
 	// GET /v1/jobs (default 4096; result bytes live in the cache, these
 	// records are small).
 	JobHistory int
-	// DefaultDetector names the tier applied to requests that omit
-	// "detector" ("" means the library default, pairwise). Operators set
-	// "sampled" to route bulk traffic through the cheap tier — sampled
-	// jobs escalate to the exact detector on any hit, so reported races
-	// are never heuristic. Must be a webracer.ParseDetector spelling;
-	// NewServer panics otherwise (a misconfigured service must not boot).
-	DefaultDetector string
 	// AccessLog, when non-nil, receives one structured JSON line per
 	// request (request id, method, path, status, cache state, backend,
 	// attempts, job-key prefix, bytes, wall ms). Lines are serialized;
@@ -153,7 +146,7 @@ type Server struct {
 	draining bool
 
 	cAccepted, cCompleted, cFailed, cInterrupted *obs.Counter
-	cCoalesced, cRejected, cEscalated            *obs.Counter
+	cCoalesced, cRejected                        *obs.Counter
 	gDepth                                       *obs.Gauge
 	hQueueDepth, hExecOps                        *obs.Histogram // step-unit (stable export)
 	hQueueWait, hExecWall                        *obs.Histogram // wall-clock
@@ -184,9 +177,6 @@ func (j *job) finishedState() bool { return j.status == "done" || j.status == "f
 // httptest) and call Drain on shutdown.
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	if _, err := webracer.ParseDetector(cfg.DefaultDetector); err != nil {
-		panic(fmt.Sprintf("serve: bad DefaultDetector: %v", err))
-	}
 	workers := cfg.Workers
 	if workers < 1 {
 		workers = runtime.NumCPU()
@@ -206,7 +196,6 @@ func NewServer(cfg Config) *Server {
 		cInterrupted: m.Counter("serve.jobs.interrupted"),
 		cCoalesced:   m.Counter("serve.jobs.coalesced"),
 		cRejected:    m.Counter("serve.queue.rejected"),
-		cEscalated:   m.Counter("serve.jobs.escalated"),
 		gDepth:       m.Gauge("serve.queue.depth"),
 		hQueueDepth:  m.Histogram("serve.queue.wait.depth", "jobs", depthBounds),
 		hExecOps:     m.Histogram("serve.jobs.exec.ops", "ops", opsBounds),
@@ -545,34 +534,7 @@ func (s *Server) executeDetect(r *resolved) ([]byte, bool, error) {
 		payload = detectResponse(r, res)
 	}
 	body, err := marshalBody(payload)
-	cacheable := res.Interrupted == ""
-	if err == nil && cacheable && !r.session && res.Sampled != nil && res.Sampled.Escalated {
-		s.cEscalated.Inc()
-		s.crossPopulateExact(r, res)
-	}
-	return body, cacheable, err
-}
-
-// crossPopulateExact stores an escalated sampled run's result under the
-// equivalent *exact* request's cache key as well. The escalation second
-// pass already paid for the exact run — runSampled re-executes the same
-// (site, seed, config) under webracer.EscalationDetector — so a later
-// direct exact request for this site is a cache hit, byte-identical to
-// what a cold exact run would produce (the determinism contract makes
-// the two indistinguishable; tests assert the bytes). The Cache is
-// internally locked, so this is safe from the worker goroutine.
-func (s *Server) crossPopulateExact(r *resolved, res *webracer.Result) {
-	r2 := *r
-	r2.cfg.Detector = webracer.EscalationDetector
-	r2.cfg.SampleRate = 0
-	r2.key = r2.computeKey()
-	resp := detectResponse(&r2, res)
-	// A direct exact run has no sampled-tier accounting.
-	resp.SampleRate, resp.SampledHits, resp.Escalated = 0, 0, false
-	if body, err := marshalBody(resp); err == nil {
-		s.cache.Put(r2.key, body)
-		_ = s.store.Put(r2.key, body)
-	}
+	return body, res.Interrupted == "", err
 }
 
 // executeSweep runs /v1/sweep in either mode. The seeds mode shards the
@@ -739,20 +701,14 @@ func (s *Server) statusLocked(j *job) JobStatus {
 }
 
 // handleDetectors answers GET /v1/detectors: the capability listing of
-// every detector kind the service accepts, which tier each belongs to,
-// and which one requests get when they omit "detector". Clients use it
-// to discover the sampled tier (and its escalation semantics) without
-// hardcoding spellings.
+// every detector kind the service accepts, and which one requests get
+// when they omit "detector". Clients use it to discover spellings
+// without hardcoding them.
 func (s *Server) handleDetectors(w http.ResponseWriter, _ *http.Request) {
-	// cfg.DefaultDetector parsed successfully at NewServer.
-	def, _ := webracer.ParseDetector(s.cfg.DefaultDetector)
-	resp := DetectorsResponse{Default: def.String(), Escalation: webracer.EscalationDetector.String()}
+	resp := DetectorsResponse{Default: webracer.DetectorPairwise.String()}
 	for _, k := range webracer.DetectorKinds() {
-		info := DetectorInfo{Name: k.String(), Tier: "exact", Default: k == def}
-		if k == webracer.DetectorSampled {
-			info.Tier = "sampled"
-		}
-		resp.Detectors = append(resp.Detectors, info)
+		resp.Detectors = append(resp.Detectors,
+			DetectorInfo{Name: k.String(), Default: k == webracer.DetectorPairwise})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -835,15 +791,6 @@ type DetectResponse struct {
 	FaultEvents int `json:"faultEvents,omitempty"`
 	// Explore summarizes automatic exploration, when it ran.
 	Explore map[string]int `json:"explore,omitempty"`
-	// SampleRate is the effective location sampling rate (sampled
-	// detector only).
-	SampleRate float64 `json:"sampleRate,omitempty"`
-	// SampledHits is the number of races the cheap tier itself found
-	// before escalation (sampled detector only).
-	SampledHits int `json:"sampledHits,omitempty"`
-	// Escalated reports that the sampled run re-ran under the exact
-	// escalation detector and Races holds that pass's output.
-	Escalated bool `json:"escalated,omitempty"`
 	// Interrupted names why the run stopped early, if it did (such runs
 	// are never cached).
 	Interrupted string `json:"interrupted,omitempty"`
@@ -853,10 +800,6 @@ type DetectResponse struct {
 type DetectorInfo struct {
 	// Name is the spelling Request.Detector accepts.
 	Name string `json:"name"`
-	// Tier is "exact" (reports are complete for the observed schedule) or
-	// "sampled" (cheap pass over a sampled location subset; any hit
-	// escalates to the exact tier).
-	Tier string `json:"tier"`
 	// Default marks the kind requests get when they omit "detector".
 	Default bool `json:"default,omitempty"`
 }
@@ -866,10 +809,8 @@ type DetectorsResponse struct {
 	// Detectors lists every accepted kind, in the library's declaration
 	// order.
 	Detectors []DetectorInfo `json:"detectors"`
-	// Default is the service's default tier (Config.DefaultDetector).
+	// Default is the detector requests get when they omit "detector".
 	Default string `json:"default"`
-	// Escalation is the exact detector sampled hits re-run under.
-	Escalation string `json:"escalation"`
 }
 
 // SessionResponse wraps the full exported session for "session": true
@@ -962,11 +903,6 @@ func detectResponse(r *resolved, res *webracer.Result) DetectResponse {
 	}
 	if res.Predictive != nil {
 		resp.Predicted = res.Predictive.Stats.Predicted
-	}
-	if res.Sampled != nil {
-		resp.SampleRate = res.Sampled.Rate
-		resp.SampledHits = res.Sampled.Hits
-		resp.Escalated = res.Sampled.Escalated
 	}
 	for _, rep := range res.Reports {
 		resp.Races = append(resp.Races, RaceJSON{

@@ -107,38 +107,6 @@ func TestGoldenMetricsPredictive(t *testing.T) {
 	}
 }
 
-// TestGoldenMetricsSampled pins the sampled tier's counter family
-// (race.sampled.*) on corpus site sitegen-07 at the default rate — the
-// same (site, config) `experiments -obs -metrics-dir` regenerates as
-// metrics-sampled.json, so scripts/metricsdiff.sh gates the tier's
-// telemetry alongside the rest of the layer. Regenerate with
-//
-//	go test -run TestGoldenMetricsSampled -update .
-func TestGoldenMetricsSampled(t *testing.T) {
-	site := sitegen.Generate(sitegen.SpecFor(1, 7))
-	cfg := DefaultConfig(1)
-	cfg.Telemetry = true
-	cfg.Detector = DetectorSampled
-	got := metricsJSON(t, RunConfig(site, cfg).Metrics)
-	if again := metricsJSON(t, RunConfig(site, cfg).Metrics); !bytes.Equal(got, again) {
-		t.Fatalf("sampled metrics not run-to-run stable:\n%s\n%s", got, again)
-	}
-	path := goldenPath("metrics-sampled")
-	if *updateGolden {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	golden, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create)", err)
-	}
-	if !bytes.Equal(got, golden) {
-		t.Errorf("sampled metrics drifted from golden %s\ngot:  %s\nwant: %s", path, got, golden)
-	}
-}
-
 // TestGoldenMetricsPrune pins the schedule-pruning counter family
 // (explore.classes.*) on a pruned 16-seed sweep of the
 // schedule-dependent sched-00 page — the same (site, config)

@@ -28,15 +28,13 @@ type ClassStats = explore.ClassStats
 // replays the class representative's access trace through the detector
 // once per class, which is exact for the pairwise, accessset and
 // pairwise-vc detectors but undefined for the predictive detector (its
-// witness replays need live execution) and pointless for the sampled
-// tier (itself the cheap pass). Test with errors.Is.
+// witness replays need live execution). Test with errors.Is.
 var ErrPruneDetector = errors.New("pruning requires a trace-replayable detector (pairwise, accessset, pairwise-vc)")
 
 // prunable rejects configurations whose detector pass cannot be replayed
 // from a recorded trace.
 func prunable(cfg Config) error {
-	switch cfg.Detector {
-	case DetectorPredictive, DetectorSampled:
+	if cfg.Detector == DetectorPredictive {
 		return fmt.Errorf("webracer: %w; got %q", ErrPruneDetector, cfg.Detector)
 	}
 	return nil
@@ -203,7 +201,7 @@ func replayDetector(cfg Config, res *Result) race.Detector {
 
 // analyzeClass runs the detector pass a cheap-pass result skipped:
 // replay the recorded trace through cfg's detector over the final graph,
-// then apply the same post-processing runOnce would (filters, counts,
+// then apply the same post-processing Run would (filters, counts,
 // fault-plan Env stamping), filling res.RawReports/Reports in place.
 func analyzeClass(cfg Config, res *Result) {
 	res.RawReports = race.Replay(res.Browser.Trace(), replayDetector(cfg, res))

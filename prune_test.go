@@ -206,20 +206,18 @@ func TestPruneRecoveryMatchesGolden(t *testing.T) {
 	}
 }
 
-// TestPruneDetectorUnsupported: the predictive and sampled detectors
-// cannot be replayed from a recorded trace, so the pruned drivers must
-// reject them with ErrPruneDetector.
+// TestPruneDetectorUnsupported: the predictive detector cannot be
+// replayed from a recorded trace, so the pruned drivers must reject it
+// with ErrPruneDetector.
 func TestPruneDetectorUnsupported(t *testing.T) {
 	site := sitegen.Fig1()
-	for _, kind := range []DetectorKind{DetectorPredictive, DetectorSampled} {
-		cfg := DefaultConfig(1)
-		cfg.Detector = kind
-		if _, err := RunSeedsParallel(site, cfg, 2, ParallelConfig{Prune: true}); !errors.Is(err, ErrPruneDetector) {
-			t.Errorf("seed sweep with %s: err = %v, want ErrPruneDetector", kind, err)
-		}
-		if _, err := ExploreSchedulesParallel(site, cfg, ParallelConfig{Prune: true}); !errors.Is(err, ErrPruneDetector) {
-			t.Errorf("schedule sweep with %s: err = %v, want ErrPruneDetector", kind, err)
-		}
+	cfg := DefaultConfig(1)
+	cfg.Detector = DetectorPredictive
+	if _, err := RunSeedsParallel(site, cfg, 2, ParallelConfig{Prune: true}); !errors.Is(err, ErrPruneDetector) {
+		t.Errorf("seed sweep: err = %v, want ErrPruneDetector", err)
+	}
+	if _, err := ExploreSchedulesParallel(site, cfg, ParallelConfig{Prune: true}); !errors.Is(err, ErrPruneDetector) {
+		t.Errorf("schedule sweep: err = %v, want ErrPruneDetector", err)
 	}
 }
 

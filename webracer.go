@@ -66,16 +66,6 @@ const (
 	// seed sweep for schedule-dependent races reachable from the recorded
 	// control flow.
 	DetectorPredictive
-	// DetectorSampled is the fast tier for bulk traffic: the pairwise
-	// algorithm over a flat shadow-word array, checking only a
-	// deterministically sampled subset of locations (Config.SampleRate)
-	// with zero steady-state allocations. Any sampled hit escalates the
-	// run to an exact second pass (DetectorPairwiseVC) whose reports
-	// replace the tier's; Result.Sampled records the tier's accounting
-	// either way. At rate 1 the output equals the exact detector's; at
-	// lower rates reports are always a subset of it. See DESIGN.md
-	// "Sampled tier".
-	DetectorSampled
 )
 
 // DetectorKinds returns every detector kind, in declaration order — the
@@ -84,7 +74,7 @@ const (
 func DetectorKinds() []DetectorKind {
 	return []DetectorKind{
 		DetectorPairwise, DetectorAccessSet, DetectorPairwiseVC,
-		DetectorPredictive, DetectorSampled,
+		DetectorPredictive,
 	}
 }
 
@@ -98,8 +88,6 @@ func (k DetectorKind) String() string {
 		return "pairwise-vc"
 	case DetectorPredictive:
 		return "predictive"
-	case DetectorSampled:
-		return "sampled"
 	default:
 		return "pairwise"
 	}
@@ -148,13 +136,6 @@ type Config struct {
 	Filters bool
 	// Detector picks the algorithm.
 	Detector DetectorKind
-	// SampleRate is DetectorSampled's location sampling probability in
-	// (0, 1]; 0 applies DefaultSampleRate. Setting it with any other
-	// detector fails Validate — the other detectors are exact and do not
-	// sample. Rate 1 checks every location (output equals the exact
-	// detector's); lower rates trade recall for constant cheap-tier cost,
-	// recovered by escalation on hit.
-	SampleRate float64
 	// RecordTrace keeps the access trace (needed for vector-clock
 	// replay and by the harm oracle).
 	RecordTrace bool
@@ -215,11 +196,6 @@ func WithFilters() Option { return func(c *Config) { c.Filters = true } }
 
 // WithDetector selects the detection algorithm.
 func WithDetector(kind DetectorKind) Option { return func(c *Config) { c.Detector = kind } }
-
-// WithSampleRate sets DetectorSampled's location sampling rate in (0, 1]
-// (see Config.SampleRate). It does not itself select the sampled
-// detector; combine with WithDetector(DetectorSampled).
-func WithSampleRate(rate float64) Option { return func(c *Config) { c.SampleRate = rate } }
 
 // WithConfig replaces the whole configuration with cfg. It is the bridge
 // from the struct-form API into the options path: RunConfig(site, cfg) is
@@ -305,11 +281,6 @@ type Result struct {
 	// nil unless the run used DetectorPredictive. Its RaceReports
 	// projection is what RawReports holds then.
 	Predictive *race.PredictiveResult
-	// Sampled is the fast tier's accounting (rate, hits, whether the run
-	// escalated to the exact detector); nil unless the run used
-	// DetectorSampled. On an escalated run the rest of the Result is the
-	// exact second pass's.
-	Sampled *SampledInfo
 	// Metrics is the run's telemetry registry (nil unless Config.Telemetry).
 	Metrics *obs.Metrics
 	// Trace is the run's virtual-time Chrome trace (nil unless
@@ -322,73 +293,8 @@ type Result struct {
 // (exploration on, filters off); see the With* options for every knob —
 // including WithConfig, which RunConfig uses to accept a prebuilt Config
 // through this same path.
-//
-// Run panics if the assembled configuration fails Validate (programmer
-// error, like a malformed regexp); API boundaries — the CLIs, webracerd —
-// validate first and turn the typed errors into exit codes or 400s.
 func Run(site *loader.Site, opts ...Option) *Result {
 	cfg := NewConfig(opts...)
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	if cfg.Detector == DetectorSampled && cfg.Browser.Detector == nil {
-		return runSampled(site, cfg)
-	}
-	return runOnce(site, cfg)
-}
-
-// detectorFactory builds the browser-level detector constructor for
-// cfg.Detector — the single parameterized factory behind all DetectorKind
-// values.
-func detectorFactory(cfg Config, reportAll bool) func(*hb.Graph) race.Detector {
-	var ropts []race.Option
-	if reportAll {
-		ropts = append(ropts, race.ReportAll())
-	}
-	switch cfg.Detector {
-	case DetectorAccessSet:
-		// Complete history, but WebRacer's one-report-per-location cap so
-		// counts stay comparable across detectors.
-		return func(g *hb.Graph) race.Detector {
-			return race.NewAccessSet(g, race.OnePerLoc())
-		}
-	case DetectorPairwiseVC:
-		return func(g *hb.Graph) race.Detector {
-			live := hb.NewLiveClocks()
-			g.Mirror = live
-			return race.NewPairwise(live, ropts...)
-		}
-	case DetectorSampled:
-		// The fast tier runs over the live vector-clock mirror like
-		// PairwiseVC; the shadow array replaces the pairwise state map.
-		rate, seed := cfg.effectiveSampleRate(), cfg.Seed
-		return func(g *hb.Graph) race.Detector {
-			live := hb.NewLiveClocks()
-			g.Mirror = live
-			return race.NewSampled(live, rate, seed, ropts...)
-		}
-	default:
-		// DetectorPairwise — and DetectorPredictive's live arm: the
-		// predictive pass runs post-run over the recorded trace, with the
-		// paper's detector riding along live for its telemetry counters.
-		return func(g *hb.Graph) race.Detector {
-			return race.NewPairwise(g, ropts...)
-		}
-	}
-}
-
-// RunConfig is Run with an explicit Config — sugar for
-// Run(site, WithConfig(cfg)). The struct form and the options form are one
-// API: both validate, both tier the sampled detector, both produce
-// identical Results for equivalent configurations.
-func RunConfig(site *loader.Site, cfg Config) *Result {
-	return Run(site, WithConfig(cfg))
-}
-
-// runOnce executes one detection pass with cfg taken literally — no
-// validation, no tiering. Run (and through it RunConfig) is the only
-// caller besides the sampled tier's escalation second pass.
-func runOnce(site *loader.Site, cfg Config) *Result {
 	bcfg := cfg.Browser
 	bcfg.Seed = cfg.Seed
 	bcfg.SharedFrameGlobals = true
@@ -501,6 +407,44 @@ func runOnce(site *loader.Site, cfg Config) *Result {
 	res.Metrics, res.Trace = m, tl
 	foldTelemetry(res, m)
 	return res
+}
+
+// RunConfig is Run with an explicit Config — sugar for
+// Run(site, WithConfig(cfg)). The struct form and the options form are one
+// API: both produce identical Results for equivalent configurations.
+func RunConfig(site *loader.Site, cfg Config) *Result {
+	return Run(site, WithConfig(cfg))
+}
+
+// detectorFactory builds the browser-level detector constructor for
+// cfg.Detector — the single parameterized factory behind all DetectorKind
+// values.
+func detectorFactory(cfg Config, reportAll bool) func(*hb.Graph) race.Detector {
+	var ropts []race.Option
+	if reportAll {
+		ropts = append(ropts, race.ReportAll())
+	}
+	switch cfg.Detector {
+	case DetectorAccessSet:
+		// Complete history, but WebRacer's one-report-per-location cap so
+		// counts stay comparable across detectors.
+		return func(g *hb.Graph) race.Detector {
+			return race.NewAccessSet(g, race.OnePerLoc())
+		}
+	case DetectorPairwiseVC:
+		return func(g *hb.Graph) race.Detector {
+			live := hb.NewLiveClocks()
+			g.Mirror = live
+			return race.NewPairwise(live, ropts...)
+		}
+	default:
+		// DetectorPairwise — and DetectorPredictive's live arm: the
+		// predictive pass runs post-run over the recorded trace, with the
+		// paper's detector riding along live for its telemetry counters.
+		return func(g *hb.Graph) race.Detector {
+			return race.NewPairwise(g, ropts...)
+		}
+	}
 }
 
 // RunCorpus runs the detector over n synthetic sites (see sitegen) and

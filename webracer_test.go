@@ -1,6 +1,10 @@
 package webracer
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"strings"
 	"testing"
 
 	"webracer/internal/browser"
@@ -356,5 +360,65 @@ func TestPairwiseMissVsAccessSet(t *testing.T) {
 	}
 	if len(s.Reports()) != 1 {
 		t.Errorf("AccessSet reported %d races, want exactly the 2–3 race", len(s.Reports()))
+	}
+}
+
+// reportsJSON marshals a result's raw reports canonically — the byte
+// representation output-identity checks compare.
+func reportsJSON(t *testing.T, res *Result) []byte {
+	t.Helper()
+	b, err := json.Marshal(res.RawReports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestDetectorKindRoundTrip pins the String/ParseDetector inverse for
+// every kind, and the typed error for unknown spellings — including
+// "sampled", the retired re-executing tier's name.
+func TestDetectorKindRoundTrip(t *testing.T) {
+	for _, k := range DetectorKinds() {
+		got, err := ParseDetector(k.String())
+		if err != nil {
+			t.Errorf("ParseDetector(%q): %v", k.String(), err)
+		}
+		if got != k {
+			t.Errorf("ParseDetector(%q) = %v, want %v", k.String(), got, k)
+		}
+	}
+	if k, err := ParseDetector(""); err != nil || k != DetectorPairwise {
+		t.Errorf("ParseDetector(\"\") = %v, %v; want the pairwise default", k, err)
+	}
+	for _, name := range []string{"quantum", "sampled"} {
+		_, err := ParseDetector(name)
+		if !errors.Is(err, ErrUnknownDetector) {
+			t.Fatalf("ParseDetector(%q) = %v, want ErrUnknownDetector", name, err)
+		}
+		const want = "(want pairwise, accessset, pairwise-vc, predictive)"
+		if !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("unknown-detector error %q does not end with %s", err, want)
+		}
+	}
+}
+
+// TestWithConfigDelegation pins the struct-form/options-form unification:
+// RunConfig must produce the same output as Run(WithConfig), and options
+// after WithConfig still apply.
+func TestWithConfigDelegation(t *testing.T) {
+	site := sitegen.Generate(sitegen.SpecFor(1, 7))
+	cfg := DefaultConfig(3)
+	cfg.Filters = true
+	for _, kind := range DetectorKinds() {
+		cfg.Detector = kind
+		a := reportsJSON(t, RunConfig(site, cfg))
+		b := reportsJSON(t, Run(site, WithConfig(cfg)))
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%s: RunConfig and Run(WithConfig) diverged", kind)
+		}
+	}
+	over := NewConfig(WithConfig(cfg), WithSeed(9))
+	if over.Seed != 9 || !over.Filters {
+		t.Fatalf("options after WithConfig: got seed %d filters %v", over.Seed, over.Filters)
 	}
 }
