@@ -117,6 +117,10 @@ func FuzzCanonicalFingerprint(f *testing.F) {
 		}
 	}
 	f.Add([]byte(`{"ops":[{"id":1,"kind":"handler","label":"click"}],"edges":[[1,1]]}`), uint64(7))
+	// Two identical, mutually unordered handlers: relabeling must not
+	// depend on how the tie between them is broken.
+	f.Add([]byte(`{"ops":[{"id":1,"kind":"user","label":"load"},{"id":2,"kind":"handler","label":"click"},{"id":3,"kind":"handler","label":"click"}],`+
+		`"edges":[[1,2],[1,3]],"trace":[{"kind":"write","loc":"x","op":2},{"kind":"write","loc":"x","op":3}]}`), uint64(3))
 	f.Fuzz(func(t *testing.T, data []byte, permSeed uint64) {
 		var doc sessionDoc
 		if err := json.Unmarshal(data, &doc); err != nil {
