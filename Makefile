@@ -69,11 +69,11 @@ obs:
 	./scripts/metricsdiff.sh
 
 # Godoc coverage gate: every exported identifier in the documented
-# surface (root package, serve, obs, fault, canon, explore, the bench
-# harness) must carry a doc comment. scripts/checkdocs is a tiny go/ast
-# walker — presence only, wording is review's job.
+# surface (root package, serve, obs, fault, canon, explore, hb, race, the
+# bench harness) must carry a doc comment. scripts/checkdocs is a tiny
+# go/ast walker — presence only, wording is review's job.
 docs:
-	go run ./scripts/checkdocs . internal/serve internal/store internal/obs internal/fault internal/canon internal/explore cmd/webracerbench
+	go run ./scripts/checkdocs . internal/serve internal/store internal/obs internal/fault internal/canon internal/explore internal/hb internal/race cmd/webracerbench
 
 # Load-test gate: webracerbench replays a 2000-request seeded trace
 # against an in-process 3-node cluster + router, verifies every response

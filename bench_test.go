@@ -288,8 +288,10 @@ func BenchmarkReplayVC(b *testing.B) {
 	b.ReportMetric(float64(races), "races")
 }
 
-// BenchmarkDetectorLiveVC is E4's online arm: the whole pipeline running
-// with the incremental vector-clock oracle instead of the graph.
+// BenchmarkDetectorLiveVC is the whole pipeline with the pairwise-vc
+// detector: the run records its trace with no live checking, then replays
+// it over hb.Clocks of the finished graph. Compare
+// BenchmarkDetectorLiveGraph, the live graph oracle on the same sites.
 func BenchmarkDetectorLiveVC(b *testing.B) {
 	races := 0
 	for i := 0; i < b.N; i++ {

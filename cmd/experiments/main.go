@@ -153,7 +153,7 @@ func kb(b int) string { return fmt.Sprintf("%.0fKiB", float64(b)/1024) }
 
 // runExtensions measures the E6 extension knobs over a corpus slice: the
 // §7 timer-clear instrumentation, the Appendix A same-group handler
-// ordering, and the online vector-clock oracle.
+// ordering, and the vector-clock replay (pairwise-vc).
 func runExtensions(seed int64, n int) {
 	if n > 25 {
 		n = 25
@@ -178,13 +178,13 @@ func runExtensions(seed int64, n int) {
 	base := runWith(func(*webracer.Config) {})
 	timer := runWith(func(c *webracer.Config) { c.Browser.InstrumentTimerClears = true })
 	ordered := runWith(func(c *webracer.Config) { c.Browser.OrderSameTargetHandlers = true })
-	liveVC := runWith(func(c *webracer.Config) { c.Detector = webracer.DetectorPairwiseVC })
+	replayVC := runWith(func(c *webracer.Config) { c.Detector = webracer.DetectorPairwiseVC })
 	fmt.Printf("baseline (paper semantics):        %4d races\n", base)
 	fmt.Printf("+ timer-clear instrumentation:     %4d races (Δ %+d — §7 future work)\n", timer, timer-base)
 	fmt.Printf("+ ordered same-target handlers:    %4d races (Δ %+d — Appendix A variant)\n", ordered, ordered-base)
-	fmt.Printf("online vector-clock oracle:        %4d races (must equal baseline)\n", liveVC)
-	if liveVC != base {
-		fmt.Fprintln(os.Stderr, "WARNING: live VC oracle disagrees with the graph")
+	fmt.Printf("vector-clock replay (pairwise-vc): %4d races (must equal baseline)\n", replayVC)
+	if replayVC != base {
+		fmt.Fprintln(os.Stderr, "WARNING: vector-clock replay disagrees with the graph")
 	}
 	fmt.Println()
 }

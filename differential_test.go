@@ -1,10 +1,14 @@
 package webracer
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
+	"webracer/internal/fault"
 	"webracer/internal/hb"
 	"webracer/internal/race"
 	"webracer/internal/sitegen"
@@ -49,8 +53,8 @@ func setDiff(a, b map[string]bool) []string {
 	return out
 }
 
-// TestDifferentialDetectors runs Pairwise, AccessSet and the online
-// vector-clock detector over a 50-site corpus × 3 seeds — every detector
+// TestDifferentialDetectors runs Pairwise, AccessSet and the vector-clock
+// detector over a 50-site corpus × 3 seeds — every detector
 // in report-all mode so racing *pairs* are comparable — and asserts the
 // containment structure the paper documents:
 //
@@ -64,8 +68,8 @@ func setDiff(a, b map[string]bool) []string {
 //     modulo that documented miss, and the miss must actually occur
 //     somewhere in the corpus or the assertion is vacuous.)
 //   - The vector-clock oracle is exactly equivalent to the graph oracle:
-//     the same pairwise algorithm over hb.LiveClocks reports the same
-//     race pairs as over hb.Graph on every (site, seed). The two
+//     the same pairwise algorithm replayed over hb.Clocks reports the
+//     same race pairs as over hb.Graph on every (site, seed). The two
 //     happens-before representations encode one relation.
 func TestDifferentialDetectors(t *testing.T) {
 	strictMisses, totalPairs := 0, 0
@@ -201,5 +205,39 @@ func TestDifferentialPredictiveNoFalsePositives(t *testing.T) {
 					i, 1+s, n)
 			}
 		}
+	}
+}
+
+// TestDifferentialPairwiseVCReplay: pairwise-vc, a post-run replay of the
+// recorded trace over hb.Clocks, marshals to exactly the live graph
+// detector's RawReports bytes on the sched, fault (under a drop plan) and
+// stress corpora, with ReportAll off and on.
+func TestDifferentialPairwiseVCReplay(t *testing.T) {
+	plan := fault.Plan{Seed: 3, DropProb: 0.5}
+	for _, tc := range pruneCorpus() {
+		t.Run(tc.name, func(t *testing.T) {
+			races := 0
+			for _, all := range []bool{false, true} {
+				for seed := int64(1); seed <= 3; seed++ {
+					cfg := DefaultConfig(seed)
+					cfg.Browser.ReportAll = all
+					if strings.HasPrefix(tc.name, "fault") {
+						cfg.Fault = &plan
+					}
+					base := RunConfig(tc.site, cfg).RawReports
+					races += len(base)
+					want, _ := json.Marshal(base)
+					cfg.Detector = DetectorPairwiseVC
+					got, _ := json.Marshal(RunConfig(tc.site, cfg).RawReports)
+					if !bytes.Equal(got, want) {
+						t.Errorf("reportAll=%v seed %d: pairwise-vc differs from pairwise:\n got %s\nwant %s",
+							all, seed, got, want)
+					}
+				}
+			}
+			if races == 0 {
+				t.Error("no races on this site; the comparison is vacuous")
+			}
+		})
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // Oracle answers can-happen-concurrently queries. Graph, Clocks and
-// LiveClocks implement it; race detectors are written against the interface
-// so the representations can be swapped (experiment E4).
+// DenseClocks implement it; race detectors are written against the
+// interface so the representations can be swapped (experiment E4).
 type Oracle interface {
 	// Concurrent reports CHC(a, b) per §5.1: a and b are distinct real
 	// operations and neither happens before the other.
@@ -39,12 +39,15 @@ type Epoch struct {
 	Pos   int32
 }
 
+// String renders the epoch as chain@pos.
 func (e Epoch) String() string { return fmt.Sprintf("%d@%d", e.Chain, e.Pos) }
 
 // EpochOracle is an Oracle that additionally exposes the epoch
-// representation. Both vector-clock engines implement it; Graph does not,
-// so detectors feature-test with a type assertion and keep their plain
-// path for graph oracles.
+// representation. Clocks implements it; Graph and DenseClocks do not, so
+// detectors feature-test with a type assertion and keep their plain path
+// for the other oracles. An epoch never changes once assigned — every
+// implementation is a snapshot of a finished graph — so callers may cache
+// epochs for the oracle's whole lifetime.
 type EpochOracle interface {
 	Oracle
 	// Epoch returns id's chain@position coordinate, finalizing it lazily.
@@ -52,27 +55,48 @@ type EpochOracle interface {
 	// OrderedEpoch reports that the operation at e happens before (or is)
 	// b. With e = Epoch(a), OrderedEpoch(e, b) ≡ HappensBefore(a, b) ∨ a = b.
 	OrderedEpoch(e Epoch, b op.ID) bool
-	// Gen is bumped whenever finalized coordinates may have been
-	// reassigned (late-edge invalidation). Epochs cached across calls are
-	// only valid while Gen is unchanged; ordering conclusions themselves
-	// stay valid forever (happens-before only grows).
-	Gen() uint32
 }
 
-var (
-	_ EpochOracle = (*Clocks)(nil)
-	_ EpochOracle = (*LiveClocks)(nil)
-)
+var _ EpochOracle = (*Clocks)(nil)
 
 // Clocks is the vector-clock view of a *finished* happens-before graph —
 // the "more efficient vector-clock representation" the paper plans as
-// future work (§5.2.1), in its epoch-optimized form. Construction is O(n)
-// bookkeeping: chain assignment and clock materialization are inherited
-// lazily from the LiveClocks engine, so a replay that only ever compares
-// same-chain operations never allocates a single clock vector. Compare
-// DenseClocks, the pre-epoch eager form kept as the E4 ablation baseline.
+// future work (§5.2.1), in its epoch-optimized form. Where Graph memoizes
+// O(n/64)-word ancestor bitsets per operation, Clocks stores at most one
+// O(chains)-entry clock per operation: memory scales with the execution's
+// logical width instead of its length. Compare DenseClocks, the pre-epoch
+// eager form kept as the E4 ablation baseline.
+//
+// The engine is epoch-optimized in the FastTrack style. Every operation is
+// assigned an *epoch* — a (chain, position) pair over the greedy chain
+// decomposition of the DAG — lazily at its first query. Epoch assignment
+// touches only the operation's direct predecessors and allocates nothing.
+// Full clock vectors are materialized only when a query actually crosses
+// chains (a location shared between tasks); same-chain queries, the common
+// case for a location accessed by one task, are answered from epochs alone
+// in O(1). Materialized clocks are carved out of a shared int32 slab, and
+// both chain ids and operation ids are dense small ints used directly as
+// array indices, so clock joins perform no per-operation map work and no
+// per-operation GC allocation. Construction itself is O(n) bookkeeping: a
+// replay that only ever compares same-chain operations never allocates a
+// single clock vector.
 type Clocks struct {
-	lc LiveClocks
+	preds [][]op.ID
+	chain []int32   // chain of ID(i+1); -1 until the epoch is finalized
+	pos   []int32   // position within the chain (valid when chain >= 0)
+	clock [][]int32 // nil until materialized by a cross-chain query
+	tails []op.ID   // chain tails
+
+	arena      []int32 // slab backing materialized clocks
+	mats       int     // number of clocks joined, not shared (laziness metric)
+	allocWords int     // int32 words handed out by alloc
+	fstack     []frame // reusable traversal stack (no per-query allocation)
+}
+
+// frame is one entry of the iterative ancestors-first traversals.
+type frame struct {
+	id   op.ID
+	next int
 }
 
 // NewClocks builds the epoch-optimized vector-clock representation of g.
@@ -85,60 +109,263 @@ type Clocks struct {
 // edges of its own).
 func NewClocks(g *Graph) *Clocks {
 	n := g.Len()
-	c := &Clocks{}
-	for i := 1; i <= n; i++ {
-		for _, p := range g.preds[i-1] {
-			if p >= op.ID(i) {
-				panic(fmt.Sprintf("hb: edge %d→%d violates topological ID order", p, i))
+	return newClocks(g.preds[:n:n])
+}
+
+// newClocks is the one constructor behind NewClocks and
+// NewPredictiveClocks: preds[i] lists the direct predecessors of ID(i+1).
+// It verifies the topological-ID invariant, which every traversal below
+// relies on, and leaves every epoch unfinalized.
+func newClocks(preds [][]op.ID) *Clocks {
+	n := len(preds)
+	for i, ps := range preds {
+		for _, p := range ps {
+			if int(p) > i {
+				panic(fmt.Sprintf("hb: edge %d→%d violates topological ID order", p, i+1))
 			}
 		}
 	}
-	// A snapshot adds no nodes or edges of its own, so the adjacency lists
-	// are shared with the graph rather than copied.
-	c.lc.preds = g.preds[:n:n]
-	c.lc.succs = g.succs[:n:n]
-	c.lc.pos = make([]int32, n)
-	c.lc.clock = make([][]int32, n)
-	c.lc.chain = make([]int32, n)
-	for i := range c.lc.chain {
-		c.lc.chain[i] = -1
+	c := &Clocks{
+		preds: preds,
+		chain: make([]int32, n),
+		pos:   make([]int32, n),
+		clock: make([][]int32, n),
+	}
+	for i := range c.chain {
+		c.chain[i] = -1
 	}
 	return c
 }
 
-// Chains reports how many chains the decomposition produces — a measure of
-// the execution's logical concurrency width. It finalizes every epoch (in
-// ID order, the same greedy order the eager construction used) but
-// materializes no clocks.
-func (c *Clocks) Chains() int {
-	for i := 1; i <= len(c.lc.preds); i++ {
-		c.lc.finalizeEpoch(op.ID(i))
+// finalizeEpoch assigns id's chain and position (iteratively, ancestors
+// first). It performs no clock joins and no allocation beyond chain
+// bookkeeping — this is the O(1)-amortized fast path of the epoch
+// representation.
+func (c *Clocks) finalizeEpoch(id op.ID) {
+	if c.chain[id-1] >= 0 {
+		return
 	}
-	return len(c.lc.tails)
+	stack := append(c.fstack[:0], frame{id: id})
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		ps := c.preds[f.id-1]
+		descended := false
+		for f.next < len(ps) {
+			p := ps[f.next]
+			f.next++
+			if c.chain[p-1] < 0 {
+				stack = append(stack, frame{id: p})
+				descended = true
+				break
+			}
+		}
+		if descended {
+			continue
+		}
+		c.assignEpoch(f.id)
+		stack = stack[:len(stack)-1]
+	}
+	c.fstack = stack
 }
 
-// HappensBefore reports a ⇝ b.
-func (c *Clocks) HappensBefore(a, b op.ID) bool { return c.lc.HappensBefore(a, b) }
+// assignEpoch computes chain membership for id; all predecessors hold
+// finalized epochs. An operation extends the chain of a predecessor that is
+// still that chain's tail, else it starts a new chain.
+func (c *Clocks) assignEpoch(id op.ID) {
+	i := id - 1
+	ci := int32(-1)
+	for _, p := range c.preds[i] {
+		pc := c.chain[p-1]
+		if pc >= 0 && c.tails[pc] == p {
+			ci = pc
+			break
+		}
+	}
+	if ci < 0 {
+		ci = int32(len(c.tails))
+		c.tails = append(c.tails, op.None)
+	}
+	c.chain[i] = ci
+	if c.tails[ci] == op.None {
+		c.pos[i] = 0
+	} else {
+		c.pos[i] = c.pos[c.tails[ci]-1] + 1
+	}
+	c.tails[ci] = id
+}
+
+// materialize builds (iteratively, ancestors first) the full clock vector of
+// id: the join of its predecessors' clocks plus its own epoch. Only queries
+// that cross chains reach this path, so clocks exist only for operations
+// involved with genuinely shared locations.
+func (c *Clocks) materialize(id op.ID) []int32 {
+	if clk := c.clock[id-1]; clk != nil {
+		return clk
+	}
+	c.finalizeEpoch(id)
+	stack := append(c.fstack[:0], frame{id: id})
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		ps := c.preds[f.id-1]
+		descended := false
+		for f.next < len(ps) {
+			p := ps[f.next]
+			f.next++
+			if c.clock[p-1] == nil {
+				stack = append(stack, frame{id: p})
+				descended = true
+				break
+			}
+		}
+		if descended {
+			continue
+		}
+		c.assignClock(f.id)
+		stack = stack[:len(stack)-1]
+	}
+	c.fstack = stack
+	return c.clock[id-1]
+}
+
+// assignClock produces id's stored vector. Stored vectors are allowed to
+// understate the entry of id's *own* chain — pos[id] supplies it — which
+// unlocks structural sharing: an operation with a single predecessor on
+// its own chain reuses the predecessor's vector outright (no copy, no
+// join). Chains dominate browser happens-before graphs, so only join
+// nodes and chain starts ever allocate. Consumers compensate:
+//
+//   - queries never read a vector at the owner's own chain (the same-chain
+//     case is answered from epochs first), and for every other chain the
+//     shared vector is exact;
+//   - joins max in pos(p) at chain(p) for each predecessor p, restoring
+//     the understated entry.
+func (c *Clocks) assignClock(id op.ID) {
+	i := id - 1
+	ps := c.preds[i]
+	if len(ps) == 1 && c.chain[ps[0]-1] == c.chain[i] {
+		// Chain extension: share the predecessor's vector.
+		c.clock[i] = c.clock[ps[0]-1]
+		return
+	}
+	clk := c.alloc(len(c.tails))
+	rest := ps
+	if len(ps) > 0 {
+		// Seed from the first predecessor's vector (one memmove instead
+		// of a fill pass plus an extra max pass), pad the newer chains.
+		n := copy(clk, c.clock[ps[0]-1])
+		for j := n; j < len(clk); j++ {
+			clk[j] = -1
+		}
+		if pc := c.chain[ps[0]-1]; clk[pc] < c.pos[ps[0]-1] {
+			clk[pc] = c.pos[ps[0]-1]
+		}
+		rest = ps[1:]
+	} else {
+		for j := range clk {
+			clk[j] = -1
+		}
+	}
+	for _, p := range rest {
+		for j, v := range c.clock[p-1] {
+			if v > clk[j] {
+				clk[j] = v
+			}
+		}
+		// The predecessor's own chain entry may be understated in its
+		// stored vector; its epoch is authoritative.
+		if pc := c.chain[p-1]; clk[pc] < c.pos[p-1] {
+			clk[pc] = c.pos[p-1]
+		}
+	}
+	clk[c.chain[i]] = c.pos[i]
+	c.clock[i] = clk
+	c.mats++
+}
+
+// alloc carves an int32 vector out of the slab, growing it chunk-wise so
+// clock joins do not hit the allocator per operation.
+func (c *Clocks) alloc(n int) []int32 {
+	if len(c.arena) < n {
+		chunk := 1 << 16
+		if n > chunk {
+			chunk = n
+		}
+		c.arena = make([]int32, chunk)
+	}
+	clk := c.arena[:n:n]
+	c.arena = c.arena[n:]
+	c.allocWords += n
+	return clk
+}
+
+// HappensBefore reports a ⇝ b. Same-chain pairs are answered from epochs
+// alone; only cross-chain pairs materialize b's clock.
+func (c *Clocks) HappensBefore(a, b op.ID) bool {
+	if a == b || a == op.None || b == op.None ||
+		int(a) > len(c.preds) || int(b) > len(c.preds) {
+		return false
+	}
+	c.finalizeEpoch(a)
+	c.finalizeEpoch(b)
+	ca, cb := c.chain[a-1], c.chain[b-1]
+	if ca == cb {
+		return c.pos[a-1] < c.pos[b-1]
+	}
+	clk := c.materialize(b)
+	return int(ca) < len(clk) && clk[ca] >= c.pos[a-1]
+}
 
 // Concurrent reports CHC(a, b).
-func (c *Clocks) Concurrent(a, b op.ID) bool { return c.lc.Concurrent(a, b) }
+func (c *Clocks) Concurrent(a, b op.ID) bool {
+	if a == op.None || b == op.None || a == b {
+		return false
+	}
+	return !c.HappensBefore(a, b) && !c.HappensBefore(b, a)
+}
 
-// Epoch implements EpochOracle.
-func (c *Clocks) Epoch(id op.ID) Epoch { return c.lc.Epoch(id) }
+// Epoch implements EpochOracle: id's (chain, position) coordinate,
+// finalizing lazily. Unknown ids get the invalid epoch.
+func (c *Clocks) Epoch(id op.ID) Epoch {
+	if id == op.None || int(id) > len(c.preds) {
+		return Epoch{Chain: -1}
+	}
+	c.finalizeEpoch(id)
+	return Epoch{Chain: c.chain[id-1], Pos: c.pos[id-1]}
+}
 
-// OrderedEpoch implements EpochOracle.
-func (c *Clocks) OrderedEpoch(e Epoch, b op.ID) bool { return c.lc.OrderedEpoch(e, b) }
+// OrderedEpoch implements EpochOracle: the operation at e happens before
+// (or is) b. Same-chain comparisons are O(1); cross-chain comparisons
+// materialize b's clock.
+func (c *Clocks) OrderedEpoch(e Epoch, b op.ID) bool {
+	if e.Chain < 0 || b == op.None || int(b) > len(c.preds) {
+		return false
+	}
+	c.finalizeEpoch(b)
+	if c.chain[b-1] == e.Chain {
+		return e.Pos <= c.pos[b-1]
+	}
+	clk := c.materialize(b)
+	return int(e.Chain) < len(clk) && clk[e.Chain] >= e.Pos
+}
 
-// Gen implements EpochOracle. A snapshot never invalidates, so cached
-// epochs stay valid for its whole lifetime.
-func (c *Clocks) Gen() uint32 { return c.lc.Gen() }
+// Chains reports how many chains the decomposition produces — a measure of
+// the execution's logical concurrency width. It finalizes every epoch not
+// yet finalized by a query (in ID order) but materializes no clocks.
+func (c *Clocks) Chains() int {
+	for i := 1; i <= len(c.preds); i++ {
+		c.finalizeEpoch(op.ID(i))
+	}
+	return len(c.tails)
+}
 
-// MaterializedClocks reports how many full clock vectors queries have
-// forced so far (zero for purely same-chain workloads).
-func (c *Clocks) MaterializedClocks() int { return c.lc.MaterializedClocks() }
+// MaterializedClocks reports how many operations had a full clock vector
+// built — the quantity lazy materialization minimizes. Same-chain-only
+// workloads keep it at zero.
+func (c *Clocks) MaterializedClocks() int { return c.mats }
 
-// MemoryBytes estimates the memory held by materialized clocks.
-func (c *Clocks) MemoryBytes() int { return c.lc.MemoryBytes() }
+// MemoryBytes estimates the memory held by materialized clocks (shared
+// vectors counted once).
+func (c *Clocks) MemoryBytes() int { return c.allocWords * 4 }
 
 // DenseClocks is the pre-epoch vector-clock representation: one eagerly
 // built full-width clock per operation, O(n·c) construction with a fresh

@@ -4,20 +4,26 @@
 // The relation is represented, as in the paper's implementation (§5.2.1),
 // "rather directly as a graph structure": operations are nodes and each of
 // the rules of §3.3 contributes directed edges. The relation itself is the
-// transitive closure of the edge set. Two query engines are provided:
+// transitive closure of the edge set. The browser builds the Graph while
+// it runs; two query engines answer over it:
 //
 //   - Graph.HappensBefore answers reachability using memoized per-node
 //     bitset closures (the paper's graph-traversal approach, but with each
 //     node's ancestor set cached so repeated queries are O(n/64) words).
+//     It is the live oracle, queried while edges are still arriving.
 //
-//   - Clocks assigns every operation a vector clock over a greedy chain
-//     decomposition of the DAG — the "more efficient vector-clock
-//     representation" the paper names as future work. Ordering queries are
-//     then a single array lookup.
+//   - Clocks is a snapshot of a finished graph: every operation gets a
+//     chain@position epoch over a greedy chain decomposition of the DAG,
+//     and a full vector clock only when a query crosses chains — the
+//     "more efficient vector-clock representation" the paper names as
+//     future work. Detectors run over it after the execution, by replaying
+//     the recorded access trace. NewPredictiveClocks builds the same
+//     engine over the predictive order (strong edges only).
 //
 // Both engines answer exactly the same relation; package race exploits that
 // in an ablation, and property tests in this package check the equivalence
-// on random DAGs.
+// on random DAGs. DenseClocks, the eager pre-epoch form, is kept as the
+// ablation baseline.
 package hb
 
 import (
@@ -42,11 +48,6 @@ type Graph struct {
 	// sees them — but the predictive partial order (NewPredictiveClocks)
 	// drops them. Keyed a<<32|b; nil until the first WeakEdge.
 	weak map[uint64]struct{}
-
-	// Mirror, when set, receives every AddNode/Edge call — the hook the
-	// browser uses to keep a LiveClocks oracle in lock-step with the
-	// graph (experiment E4's online arm).
-	Mirror *LiveClocks
 }
 
 // NewGraph returns an empty happens-before graph.
@@ -54,12 +55,7 @@ func NewGraph() *Graph { return &Graph{} }
 
 // AddNode makes room for the operation; it must be called (directly or via
 // Edge's implicit growth) before querying the node. Nodes are cheap.
-func (g *Graph) AddNode(id op.ID) {
-	g.grow(id)
-	if g.Mirror != nil {
-		g.Mirror.AddNode(id)
-	}
-}
+func (g *Graph) AddNode(id op.ID) { g.grow(id) }
 
 func (g *Graph) grow(id op.ID) {
 	for len(g.preds) < int(id) {
@@ -91,18 +87,15 @@ func (g *Graph) Edge(a, b op.ID) {
 	g.succs[a-1] = append(g.succs[a-1], b)
 	g.invalidate(b)
 	g.edges++
-	if g.Mirror != nil {
-		g.Mirror.Edge(a, b)
-	}
 }
 
 // WeakEdge records a ⇝ b like Edge but marks the edge as schedule-induced:
 // the observed execution ordered a before b, yet a feasible execution of
 // the same page could order them the other way. The full happens-before
-// relation (HappensBefore, Concurrent, every oracle built by NewClocks or
-// mirrored into LiveClocks) is exactly as if Edge had been called — weak
-// edges only disappear in the predictive order of NewPredictiveClocks. An
-// edge already present as strong stays strong.
+// relation (HappensBefore, Concurrent, every oracle built by NewClocks) is
+// exactly as if Edge had been called — weak edges only disappear in the
+// predictive order of NewPredictiveClocks. An edge already present as
+// strong stays strong.
 func (g *Graph) WeakEdge(a, b op.ID) {
 	if a == b || a == op.None || b == op.None {
 		return
@@ -121,9 +114,6 @@ func (g *Graph) WeakEdge(a, b op.ID) {
 		g.weak = map[uint64]struct{}{}
 	}
 	g.weak[weakKey(a, b)] = struct{}{}
-	if g.Mirror != nil {
-		g.Mirror.Edge(a, b)
-	}
 }
 
 func weakKey(a, b op.ID) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }

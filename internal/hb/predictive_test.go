@@ -43,17 +43,23 @@ func TestWeakEdgeIsFullHB(t *testing.T) {
 	}
 }
 
+// TestWeakEdgeMirrorsToLiveClocks: weak edges reach the epoch path of the
+// full-HB snapshot (the oracle a pairwise-vc replay runs on) and are absent
+// from the predictive snapshot's.
 func TestWeakEdgeMirrorsToLiveClocks(t *testing.T) {
 	g := NewGraph()
-	live := NewLiveClocks()
-	g.Mirror = live
 	for i := op.ID(1); i <= 3; i++ {
 		g.AddNode(i)
 	}
 	g.Edge(1, 2)
 	g.WeakEdge(2, 3)
-	if !live.HappensBefore(2, 3) {
-		t.Error("weak edge not forwarded to the mirrored LiveClocks")
+	full := NewClocks(g)
+	if !full.OrderedEpoch(full.Epoch(2), 3) {
+		t.Error("weak edge 2→3 missing from the full snapshot's epochs")
+	}
+	pred := NewPredictiveClocks(g)
+	if pred.OrderedEpoch(pred.Epoch(2), 3) {
+		t.Error("weak edge 2→3 kept by the predictive snapshot's epochs")
 	}
 }
 

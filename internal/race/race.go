@@ -9,15 +9,17 @@
 //
 //   - Pairwise is the paper's algorithm: constant auxiliary state per
 //     location (last read and last write) checked with CHC. It can miss
-//     races (§5.1 Limitation), which the tests demonstrate. When its oracle
-//     exposes the epoch representation (hb.EpochOracle), the checks run on
-//     a FastTrack-style fast path: same-operation and same-chain accesses
-//     are dismissed in O(1), and ordering conclusions are cached as
-//     per-location epoch certificates, so full vector-clock comparisons are
-//     reserved for genuinely shared locations. The fast path answers
-//     exactly the same queries — reports are byte-identical to the plain
-//     path (the differential battery asserts this against the graph
-//     oracle).
+//     races (§5.1 Limitation), which the tests demonstrate. Over the live
+//     graph oracle it queries reachability directly. Over the vector-clock
+//     snapshot of a finished graph (hb.Clocks, an hb.EpochOracle) — the
+//     pairwise-vc detector, run as a replay of the recorded trace — the
+//     checks run on a FastTrack-style fast path: same-operation and
+//     same-chain accesses are dismissed in O(1), and ordering conclusions
+//     are cached as per-location epoch certificates, so full vector-clock
+//     comparisons are reserved for genuinely shared locations. The fast
+//     path answers exactly the same queries — reports are byte-identical
+//     to the plain path (the differential battery asserts this against
+//     the graph oracle).
 //
 //   - AccessSet keeps the full access history per location and therefore
 //     reports every race of the execution — the fix the paper leaves to
@@ -50,6 +52,8 @@ type Access struct {
 	Desc string
 }
 
+// String renders the access as kind, location, operation, context and
+// description.
 func (a Access) String() string {
 	return fmt.Sprintf("%s %s by op#%d [%s] %s", a.Kind, a.Loc, a.Op, a.Ctx, a.Desc)
 }
@@ -73,6 +77,7 @@ type Report struct {
 	Env string
 }
 
+// String renders the report as its location and the two racing accesses.
 func (r Report) String() string {
 	return fmt.Sprintf("race on %s: {%s} vs {%s}", r.Loc, r.Prior, r.Current)
 }
@@ -89,7 +94,6 @@ type Option func(*options)
 type options struct {
 	reportAll bool
 	onePerLoc bool
-	noEpochs  bool
 	locHint   int
 }
 
@@ -100,10 +104,6 @@ func ReportAll() Option { return func(o *options) { o.reportAll = true } }
 // OnePerLoc gives AccessSet WebRacer's at-most-one-race-per-location
 // reporting.
 func OnePerLoc() Option { return func(o *options) { o.onePerLoc = true } }
-
-// WithoutEpochs disables the epoch fast path even when the oracle supports
-// it (the E4 ablation isolates what the fast path buys).
-func WithoutEpochs() Option { return func(o *options) { o.noEpochs = true } }
 
 // LocHint pre-sizes Pairwise's per-location tables for roughly n distinct
 // locations, sparing large replays the incremental rehash churn. It is
@@ -143,8 +143,8 @@ type PairwiseStats struct {
 // pairState is Pairwise's constant per-location state: the paper's
 // LastRead/LastWrite pair rewritten as epochs. writeEp/readEp cache the
 // chain@pos coordinates of the remembered accesses so the hot path
-// compares integers without calling back into the oracle; gen guards the
-// cached coordinates against late-edge invalidation. certs caches
+// compares integers without calling back into the oracle; an epoch oracle
+// is a snapshot, so a cached coordinate never goes stale. certs caches
 // ordering certificates for the current write: an entry (chain → pos)
 // means the write happens before the operation that sat at chain@pos —
 // and therefore before anything later on that chain. The certificate side
@@ -160,7 +160,6 @@ type pairState struct {
 	hasRead  bool
 	reported bool
 
-	gen     uint32
 	writeEp hb.Epoch
 	readEp  hb.Epoch
 	cert    hb.Epoch
@@ -186,7 +185,7 @@ type Pairwise struct {
 
 // NewPairwise returns the paper's detector querying the given oracle. The
 // epoch fast path engages automatically when the oracle implements
-// hb.EpochOracle (both vector-clock engines do; the graph does not).
+// hb.EpochOracle (hb.Clocks does; the graph does not).
 func NewPairwise(o hb.Oracle, opts ...Option) *Pairwise {
 	cfg := buildOptions(opts)
 	hint := cfg.locHint
@@ -199,7 +198,7 @@ func NewPairwise(o hb.Oracle, opts ...Option) *Pairwise {
 		block:     hint,
 		reportAll: cfg.reportAll,
 	}
-	if eo, ok := o.(hb.EpochOracle); ok && !cfg.noEpochs {
+	if eo, ok := o.(hb.EpochOracle); ok {
 		d.epochs = eo
 	}
 	return d
@@ -207,6 +206,9 @@ func NewPairwise(o hb.Oracle, opts ...Option) *Pairwise {
 
 // Stats returns fast-path counters (zero-valued for plain-oracle runs).
 func (d *Pairwise) Stats() PairwiseStats { return d.stats }
+
+// Oracle returns the happens-before oracle the detector queries.
+func (d *Pairwise) Oracle() hb.Oracle { return d.oracle }
 
 // States reports how many distinct logical locations the detector holds
 // pairwise state for — the paper's constant-per-location auxiliary space,
@@ -243,15 +245,6 @@ func (d *Pairwise) concurrentEpoch(s *pairState, prior Access, pe *hb.Epoch, isW
 	if prior.Op == cur {
 		d.stats.EpochHits++
 		return false
-	}
-	if gen := d.epochs.Gen(); gen != s.gen {
-		// Late edges invalidated coordinates: drop the cached epochs and
-		// the certificates minted under the old decomposition.
-		s.gen = gen
-		s.hasCert = false
-		s.certs = nil
-		s.writeEp = epochUnfetched
-		s.readEp = epochUnfetched
 	}
 	if pe.Chain == epochUnfetched.Chain {
 		*pe = d.epochs.Epoch(prior.Op)

@@ -197,19 +197,6 @@ func TestRecorderReplay(t *testing.T) {
 	}
 }
 
-// liveFor mirrors g's structure into the incremental vector-clock engine,
-// the oracle that activates Pairwise's epoch fast path.
-func liveFor(g *hb.Graph, n int) *hb.LiveClocks {
-	live := hb.NewLiveClocks()
-	live.AddNode(op.ID(n))
-	for b := 1; b <= n; b++ {
-		for _, a := range g.Preds(op.ID(b)) {
-			live.Edge(a, op.ID(b))
-		}
-	}
-	return live
-}
-
 // TestEpochPairwiseMatchesGraph is the unit-level form of the differential
 // battery: on random executions, Pairwise over the epoch oracle produces
 // reports identical (same order, same fields) to Pairwise over the graph.
@@ -240,7 +227,7 @@ func TestEpochPairwiseMatchesGraph(t *testing.T) {
 			opts = append(opts, ReportAll())
 		}
 		want := Replay(trace, NewPairwise(g, opts...))
-		epoch := NewPairwise(liveFor(g, n), opts...)
+		epoch := NewPairwise(hb.NewClocks(g), opts...)
 		got := Replay(trace, epoch)
 		if len(got) != len(want) {
 			return false
@@ -261,8 +248,8 @@ func TestEpochPairwiseMatchesGraph(t *testing.T) {
 // entirely from epochs — no clock vector materialized, no vector check.
 func TestSameTaskReadsStayO1(t *testing.T) {
 	g := chainGraph([2]op.ID{1, 2}, [2]op.ID{2, 3}, [2]op.ID{3, 4})
-	live := liveFor(g, 4)
-	d := NewPairwise(live)
+	clocks := hb.NewClocks(g)
+	d := NewPairwise(clocks)
 	d.OnAccess(wr(loc("x"), 1))
 	for i := 0; i < 10; i++ {
 		d.OnAccess(rd(loc("x"), 2))
@@ -279,8 +266,8 @@ func TestSameTaskReadsStayO1(t *testing.T) {
 	if st.EpochHits == 0 {
 		t.Error("no epoch hits recorded")
 	}
-	if live.MaterializedClocks() != 0 {
-		t.Errorf("same-chain workload materialized %d clocks, want 0", live.MaterializedClocks())
+	if clocks.MaterializedClocks() != 0 {
+		t.Errorf("same-chain workload materialized %d clocks, want 0", clocks.MaterializedClocks())
 	}
 }
 
@@ -293,11 +280,11 @@ func TestWriteAfterReadShareDemotion(t *testing.T) {
 	// are finalized lazily in query order, so pin the decomposition by
 	// finalizing in ID order up front.
 	g := chainGraph([2]op.ID{1, 2}, [2]op.ID{1, 3}, [2]op.ID{1, 4})
-	live := liveFor(g, 5)
+	clocks := hb.NewClocks(g)
 	for i := op.ID(1); i <= 5; i++ {
-		live.Epoch(i)
+		clocks.Epoch(i)
 	}
-	d := NewPairwise(live, ReportAll())
+	d := NewPairwise(clocks, ReportAll())
 	x := loc("x")
 	d.OnAccess(wr(x, 1))
 	d.OnAccess(rd(x, 3)) // cross-chain, ordered: mints inline cert for chain(3)
@@ -326,8 +313,8 @@ func TestWriteAfterReadShareDemotion(t *testing.T) {
 // must fall through to full clock comparison at least once.
 func TestCrossChainForcesVectors(t *testing.T) {
 	g := chainGraph([2]op.ID{1, 2}, [2]op.ID{1, 3})
-	live := liveFor(g, 3)
-	d := NewPairwise(live)
+	clocks := hb.NewClocks(g)
+	d := NewPairwise(clocks)
 	d.OnAccess(wr(loc("x"), 2))
 	d.OnAccess(wr(loc("x"), 3)) // cross-chain, concurrent
 	if len(d.Reports()) != 1 {
@@ -336,24 +323,33 @@ func TestCrossChainForcesVectors(t *testing.T) {
 	if d.Stats().VectorChecks == 0 {
 		t.Error("cross-chain check did not reach the vector path")
 	}
-	if live.MaterializedClocks() == 0 {
+	if clocks.MaterializedClocks() == 0 {
 		t.Error("cross-chain check materialized no clocks")
 	}
 }
 
-// TestWithoutEpochsOptOut: the ablation option forces the plain path even
-// over an epoch-capable oracle.
+// TestWithoutEpochsOptOut pins the path choice, which follows the oracle
+// alone: over the graph Pairwise takes the plain path, over the
+// vector-clock snapshot the epoch path. Both agree on the reports.
 func TestWithoutEpochsOptOut(t *testing.T) {
 	g := chainGraph([2]op.ID{1, 2})
-	live := liveFor(g, 2)
-	d := NewPairwise(live, WithoutEpochs())
-	d.OnAccess(wr(loc("x"), 1))
-	d.OnAccess(wr(loc("x"), 2))
-	if len(d.Reports()) != 0 {
-		t.Fatalf("ordered writes raced: %v", d.Reports())
-	}
-	if st := d.Stats(); st.EpochHits != 0 {
-		t.Errorf("opt-out still took %d epoch hits", st.EpochHits)
+	for _, tc := range []struct {
+		name  string
+		o     hb.Oracle
+		epoch bool
+	}{
+		{"graph", g, false},
+		{"clocks", hb.NewClocks(g), true},
+	} {
+		d := NewPairwise(tc.o)
+		d.OnAccess(wr(loc("x"), 1))
+		d.OnAccess(wr(loc("x"), 2))
+		if len(d.Reports()) != 0 {
+			t.Fatalf("%s: ordered writes raced: %v", tc.name, d.Reports())
+		}
+		if hits := d.Stats().EpochHits; (hits > 0) != tc.epoch {
+			t.Errorf("%s: %d epoch hits, epoch path want %v", tc.name, hits, tc.epoch)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package webracer
 import (
 	"bytes"
 	"os"
+	"reflect"
+	"strings"
 	"testing"
 
 	"webracer/internal/loader"
@@ -169,5 +171,42 @@ func TestTelemetryOffByDefault(t *testing.T) {
 	res := Run(goldenCases()[0].site, WithSeed(1))
 	if res.Metrics != nil || res.Trace != nil {
 		t.Fatalf("Metrics=%v Trace=%v without Telemetry/TimeTrace, want nil", res.Metrics, res.Trace)
+	}
+}
+
+// TestPairwiseVCCountersAcrossWorkers: a pairwise-vc run folds its hb.vc.*
+// and detector.* counters from the post-run replay (its hb.Clocks and
+// Pairwise), and those counters are identical whether a seed sweep runs on
+// one worker or four.
+func TestPairwiseVCCountersAcrossWorkers(t *testing.T) {
+	site := sitegen.Generate(sitegen.SchedSpec(0))
+	cfg := DefaultConfig(1)
+	cfg.Detector = DetectorPairwiseVC
+	cfg.Telemetry = true
+	sweep := func(workers int) []map[string]int64 {
+		results, err := RunCorpusParallel(8, func(int) *loader.Site { return site },
+			cfg, ParallelConfig{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		out := make([]map[string]int64, len(results))
+		for i, res := range results {
+			out[i] = map[string]int64{}
+			for k, v := range res.Metrics.Snapshot() {
+				if strings.HasPrefix(k, "hb.vc.") || strings.HasPrefix(k, "detector.") {
+					out[i][k] = v
+				}
+			}
+		}
+		return out
+	}
+	one, four := sweep(1), sweep(4)
+	for i := range one {
+		if one[i]["hb.vc.chains"] == 0 || one[i]["detector.checks"] == 0 {
+			t.Fatalf("seed unit %d: replay counters missing: %v", i, one[i])
+		}
+		if !reflect.DeepEqual(one[i], four[i]) {
+			t.Errorf("seed unit %d: counters differ across workers:\n1: %v\n4: %v", i, one[i], four[i])
+		}
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"webracer/internal/op"
 	"webracer/internal/pool"
 	"webracer/internal/race"
-	"webracer/internal/report"
 )
 
 // ClassStats is the pruning summary a sweep fills in via
@@ -40,20 +39,20 @@ func prunable(cfg Config) error {
 	return nil
 }
 
-// nullDetector is the detector slot of a pruned sweep's cheap pass: the
-// execution is instrumented (the recorder still captures the access
-// trace and the HB graph is built as always) but no race checking runs.
+// nullDetector is the detector slot of a pruned sweep's cheap pass and of
+// a pairwise-vc run: the execution is instrumented (the recorder still
+// captures the access trace and the HB graph is built as always) but no
+// race checking runs until the trace is replayed.
 type nullDetector struct{}
 
 func (nullDetector) OnAccess(race.Access) {}
 
 func (nullDetector) Reports() []race.Report { return nil }
 
-// cheapConfig turns cfg into its fingerprint-only variant: trace
-// recording on, live race checking replaced by the null detector. The
-// execution itself — parsing, scheduling, exploration, HB construction —
-// is bit-for-bit the run cfg would perform, because the detector is a
-// pure observer.
+// cheapConfig turns cfg into its trace-only variant: trace recording on,
+// live race checking replaced by the null detector. The execution itself
+// — parsing, scheduling, exploration, HB construction — is bit-for-bit
+// the run cfg would perform, because the detector is a pure observer.
 func cheapConfig(cfg Config) Config {
 	c := cfg
 	c.RecordTrace = true
@@ -176,12 +175,12 @@ func canonName(s string) string {
 	})
 }
 
-// replayDetector builds the detector a class representative's trace is
-// replayed through — the same algorithm the live run would have used,
-// instantiated over the finished graph. For pairwise-vc that is the
-// batch vector-clock oracle (hb.NewClocks), exactly ReplayVC's
-// configuration; the replay-equals-live invariant is pinned by the
-// differential battery.
+// replayDetector builds the detector a recorded trace is replayed
+// through — the same algorithm the live run would have used, instantiated
+// over the finished graph. It is the one vector-clock builder: for
+// pairwise-vc it wraps hb.NewClocks, and Run, the pruned drivers' class
+// passes and ReplayVC all replay through it. The replay-equals-live
+// invariant is pinned by the differential battery.
 func replayDetector(cfg Config, res *Result) race.Detector {
 	var ropts []race.Option
 	if cfg.Browser.ReportAll {
@@ -201,26 +200,11 @@ func replayDetector(cfg Config, res *Result) race.Detector {
 
 // analyzeClass runs the detector pass a cheap-pass result skipped:
 // replay the recorded trace through cfg's detector over the final graph,
-// then apply the same post-processing Run would (filters, counts,
-// fault-plan Env stamping), filling res.RawReports/Reports in place.
+// then apply the same post-processing Run does (finishReports), filling
+// res.RawReports/Reports in place.
 func analyzeClass(cfg Config, res *Result) {
 	res.RawReports = race.Replay(res.Browser.Trace(), replayDetector(cfg, res))
-	res.RawCounts = report.Count(res.RawReports)
-	res.Reports = res.RawReports
-	if cfg.Filters {
-		res.Reports = report.Apply(res.RawReports,
-			report.FormFilter{}, report.SingleDispatchFilter{})
-	}
-	res.Counts = report.Count(res.Reports)
-	if cfg.Fault != nil {
-		env := cfg.Fault.Label()
-		for i := range res.RawReports {
-			res.RawReports[i].Env = env
-		}
-		for i := range res.Reports {
-			res.Reports[i].Env = env
-		}
-	}
+	finishReports(cfg, res, nil)
 }
 
 // notePairs folds the class representative's conflicting event pairs

@@ -1,6 +1,7 @@
 package webracer
 
 import (
+	"webracer/internal/hb"
 	"webracer/internal/obs"
 	"webracer/internal/race"
 )
@@ -10,8 +11,9 @@ import (
 // engine and detector keep their counters regardless, and this function
 // reads them once at the end of the run. Every value is a pure function
 // of (site, seed, plan), so two runs of the same triple — at any worker
-// count — produce byte-identical snapshots.
-func foldTelemetry(res *Result, m *obs.Metrics) {
+// count — produce byte-identical snapshots. det produced res.RawReports:
+// the live detector, or pairwise-vc's post-run replay.
+func foldTelemetry(res *Result, m *obs.Metrics, det race.Detector) {
 	if m == nil {
 		return
 	}
@@ -32,13 +34,13 @@ func foldTelemetry(res *Result, m *obs.Metrics) {
 	m.Add("hb.nodes", int64(b.HB.Len()))
 	m.Add("hb.edges", int64(b.HB.Edges()))
 	m.Add("hb.graph_bytes", int64(b.HB.MemoryBytes()))
-	if live := b.HB.Mirror; live != nil {
-		m.Add("hb.vc.chains", int64(live.Chains()))
-		m.Add("hb.vc.materialized_clocks", int64(live.MaterializedClocks()))
-		m.Add("hb.vc.arena_bytes", int64(live.MemoryBytes()))
-	}
 
-	if pw := pairwiseOf(b.Detector()); pw != nil {
+	if pw := pairwiseOf(det); pw != nil {
+		if vc, ok := pw.Oracle().(*hb.Clocks); ok {
+			m.Add("hb.vc.materialized_clocks", int64(vc.MaterializedClocks()))
+			m.Add("hb.vc.arena_bytes", int64(vc.MemoryBytes()))
+			m.Add("hb.vc.chains", int64(vc.Chains()))
+		}
 		ds := pw.Stats()
 		m.Add("detector.checks", int64(ds.Checks))
 		m.Add("detector.epoch_hits", int64(ds.EpochHits))

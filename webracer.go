@@ -53,8 +53,10 @@ const (
 	// DetectorAccessSet keeps full per-location history, fixing the
 	// §5.1 limitation (more races, more memory).
 	DetectorAccessSet
-	// DetectorPairwiseVC is the pairwise algorithm over the online
-	// vector-clock oracle — the §5.2.1 future-work representation, live.
+	// DetectorPairwiseVC is the pairwise algorithm over the §5.2.1
+	// future-work vector clocks: a post-run replay of the recorded trace
+	// over hb.Clocks of the finished graph, byte-identical to
+	// DetectorPairwise.
 	DetectorPairwiseVC
 	// DetectorPredictive records the full access trace of one execution
 	// and analyzes it against the predictive partial order — full
@@ -295,14 +297,17 @@ type Result struct {
 // through this same path.
 func Run(site *loader.Site, opts ...Option) *Result {
 	cfg := NewConfig(opts...)
+	// pairwise-vc checks nothing live: the recorded trace is replayed over
+	// vector clocks below, unless the caller supplied a live detector.
+	replayVC := cfg.Detector == DetectorPairwiseVC && cfg.Browser.Detector == nil
+	if replayVC {
+		cfg = cheapConfig(cfg)
+	}
 	bcfg := cfg.Browser
 	bcfg.Seed = cfg.Seed
 	bcfg.SharedFrameGlobals = true
-	bcfg.RecordTrace = cfg.RecordTrace
-	if cfg.Detector == DetectorPredictive {
-		// The predictive pass analyzes the recorded trace post-run.
-		bcfg.RecordTrace = true
-	}
+	// The predictive pass analyzes the recorded trace post-run.
+	bcfg.RecordTrace = cfg.RecordTrace || cfg.Detector == DetectorPredictive
 	if cfg.RunTimeout > 0 {
 		bcfg.WallBudget = cfg.RunTimeout
 	}
@@ -362,13 +367,38 @@ func Run(site *loader.Site, opts ...Option) *Result {
 			res.ExploreStats = explore.Run(b, explore.Default())
 		}
 	}
-	res.RawReports = b.Reports()
-	if cfg.Detector == DetectorPredictive {
+	det := b.Detector()
+	res.RawReports = det.Reports()
+	switch {
+	case cfg.Detector == DetectorPredictive:
 		// Predictive pass over the recorded execution: its reports
 		// (observed ∪ predicted) replace the live detector's.
 		res.Predictive = race.Predict(b.Trace(), b.HB)
 		res.RawReports = res.Predictive.RaceReports()
+	case replayVC:
+		det = replayDetector(cfg, res)
+		res.RawReports = race.Replay(b.Trace(), det)
 	}
+	finishReports(cfg, res, m)
+	res.Errors = b.Errors
+	res.Ops = b.Ops.Len()
+	res.Interrupted = b.Interrupted
+	if cfg.Fault != nil {
+		res.Fault = cfg.Fault
+		if inj != nil {
+			res.FaultEvents = inj.Events()
+		}
+	}
+	res.Metrics, res.Trace = m, tl
+	foldTelemetry(res, m, det)
+	return res
+}
+
+// finishReports derives the rest of res from res.RawReports, for Run and
+// for the pruned sweeps' class passes alike: raw counts, the §5.3 filters
+// (suppressions counted into m when it is non-nil), filtered counts, and
+// the fault plan's label stamped as Env on every report.
+func finishReports(cfg Config, res *Result, m *obs.Metrics) {
 	res.RawCounts = report.Count(res.RawReports)
 	res.Reports = res.RawReports
 	if cfg.Filters {
@@ -383,30 +413,21 @@ func Run(site *loader.Site, opts ...Option) *Result {
 		}
 	}
 	res.Counts = report.Count(res.Reports)
-	res.Errors = b.Errors
-	res.Ops = b.Ops.Len()
-	res.Interrupted = b.Interrupted
-	if cfg.Fault != nil {
-		res.Fault = cfg.Fault
-		if inj != nil {
-			res.FaultEvents = inj.Events()
-		}
-		env := cfg.Fault.Label()
-		for i := range res.RawReports {
-			res.RawReports[i].Env = env
-		}
-		for i := range res.Reports {
-			res.Reports[i].Env = env
-		}
-		if res.Predictive != nil {
-			for i := range res.Predictive.Reports {
-				res.Predictive.Reports[i].Env = env
-			}
+	if cfg.Fault == nil {
+		return
+	}
+	env := cfg.Fault.Label()
+	for i := range res.RawReports {
+		res.RawReports[i].Env = env
+	}
+	for i := range res.Reports {
+		res.Reports[i].Env = env
+	}
+	if res.Predictive != nil {
+		for i := range res.Predictive.Reports {
+			res.Predictive.Reports[i].Env = env
 		}
 	}
-	res.Metrics, res.Trace = m, tl
-	foldTelemetry(res, m)
-	return res
 }
 
 // RunConfig is Run with an explicit Config — sugar for
@@ -417,8 +438,8 @@ func RunConfig(site *loader.Site, cfg Config) *Result {
 }
 
 // detectorFactory builds the browser-level detector constructor for
-// cfg.Detector — the single parameterized factory behind all DetectorKind
-// values.
+// cfg.Detector — the single parameterized factory behind every live
+// DetectorKind (pairwise-vc runs no live detector; see Run).
 func detectorFactory(cfg Config, reportAll bool) func(*hb.Graph) race.Detector {
 	var ropts []race.Option
 	if reportAll {
@@ -430,12 +451,6 @@ func detectorFactory(cfg Config, reportAll bool) func(*hb.Graph) race.Detector {
 		// counts stay comparable across detectors.
 		return func(g *hb.Graph) race.Detector {
 			return race.NewAccessSet(g, race.OnePerLoc())
-		}
-	case DetectorPairwiseVC:
-		return func(g *hb.Graph) race.Detector {
-			live := hb.NewLiveClocks()
-			g.Mirror = live
-			return race.NewPairwise(live, ropts...)
 		}
 	default:
 		// DetectorPairwise — and DetectorPredictive's live arm: the
@@ -774,10 +789,8 @@ func cutSuffixWord(s, suffix string) (string, bool) {
 // ReplayVC re-analyzes a recorded execution with the vector-clock
 // happens-before representation, returning the detector's reports. The
 // result must equal the graph-based reports (tests assert this); the bench
-// compares analysis time.
+// compares analysis time. It is the replay DetectorPairwiseVC runs.
 func ReplayVC(res *Result) []race.Report {
-	trace := res.Browser.Trace()
-	clocks := hb.NewClocks(res.Browser.HB)
-	d := race.NewPairwise(clocks, race.LocHint(len(trace)/4))
-	return race.Replay(trace, d)
+	d := replayDetector(Config{Detector: DetectorPairwiseVC}, res)
+	return race.Replay(res.Browser.Trace(), d)
 }
