@@ -51,10 +51,13 @@ predictive:
 # Schedule-pruning battery under the Go race detector: the pruned-vs-
 # unpruned differential (byte-identical sweeps at workers 1 vs 4 across
 # the sched/fault/stress corpora, every replayable detector, filters and
-# fault plans), the canonical-fingerprint invariance layer with a short
-# run of its relabeling fuzzer, the class-accounting unit tests, the
-# serve-layer prune tests, and the pinned explore.classes.* golden. The
-# E12 table reprints the passes-saved numbers.
+# fault plans), the degraded-sweep tests (an interrupted run is named in
+# Degraded and kept out of webracerd's cache, pruned or not:
+# TestPrune*SweepDegraded, TestPrunedSweepDegraded), the
+# canonical-fingerprint invariance layer with a short run of its
+# relabeling fuzzer, the class-accounting unit tests, the serve-layer
+# prune tests, and the pinned explore.classes.* golden. The E12 table
+# reprints the passes saved and the pruned and unpruned wall time.
 prune:
 	go test -race -run 'TestPrune|TestFingerprint|TestClassSet|TestClassStats|TestGoldenMetricsPrune' . ./internal/canon/ ./internal/explore/ ./internal/serve/
 	go test -run '^$$' -fuzz FuzzCanonicalFingerprint -fuzztime 30s ./internal/canon/

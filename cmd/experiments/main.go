@@ -149,6 +149,9 @@ func sweepStats(n int, elapsed time.Duration) string {
 		float64(n)/elapsed.Seconds())
 }
 
+// msSince is the wall time elapsed since t0, in milliseconds.
+func msSince(t0 time.Time) float64 { return float64(time.Since(t0).Microseconds()) / 1000 }
+
 func kb(b int) string { return fmt.Sprintf("%.0fKiB", float64(b)/1024) }
 
 // runExtensions measures the E6 extension knobs over a corpus slice: the
@@ -705,7 +708,8 @@ func runPredictive(seed int64) {
 // with the ground-truth sweep pruned. Every pruned aggregate is
 // byte-compared against its unpruned twin in-process — the "identical"
 // column is measured, not assumed — while the classes/passes columns show
-// what the classification saved. A pruned sweep executes every schedule
+// what the classification saved and the plain-ms/pruned-ms columns what
+// each sweep cost in wall time. A pruned sweep executes every schedule
 // (cheaply: trace recorded, live race checking off) but pays the detector
 // pass once per canonical trace class.
 func runPrune(seed int64) {
@@ -721,20 +725,24 @@ func runPrune(seed int64) {
 	}
 	fmt.Printf("== E12: HB-equivalence schedule pruning ==\n")
 	start := time.Now()
-	fmt.Printf("%-12s %6s %8s %7s %7s %6s %10s\n",
-		"site", "seeds", "classes", "passes", "saved", "races", "identical")
+	fmt.Printf("%-12s %6s %8s %7s %7s %9s %9s %6s %10s\n",
+		"site", "seeds", "classes", "passes", "saved", "plain-ms", "pruned-ms", "races", "identical")
 	runs := 0
 	for _, tc := range corpus {
 		cfg := webracer.DefaultConfig(seed)
+		t0 := time.Now()
 		plain, err := webracer.RunSeedsParallel(tc.site, cfg, tc.seeds,
 			webracer.ParallelConfig{Workers: workers})
+		plainMS := msSince(t0)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			continue
 		}
 		var stats webracer.ClassStats
+		t0 = time.Now()
 		pruned, err := webracer.RunSeedsParallel(tc.site, cfg, tc.seeds,
 			webracer.ParallelConfig{Workers: workers, Prune: true, Classes: &stats})
+		prunedMS := msSince(t0)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			continue
@@ -742,16 +750,16 @@ func runPrune(seed int64) {
 		wantB, _ := json.Marshal(plain)
 		gotB, _ := json.Marshal(pruned)
 		passes := stats.Executions - stats.Pruned
-		fmt.Printf("%-12s %6d %8d %7d %6.0f%% %6d %10v\n",
+		fmt.Printf("%-12s %6d %8d %7d %6.0f%% %9.1f %9.1f %6d %10v\n",
 			tc.name, tc.seeds, stats.Distinct, passes,
-			100*float64(stats.Pruned)/float64(stats.Executions),
+			100*float64(stats.Pruned)/float64(stats.Executions), plainMS, prunedMS,
 			len(plain.Locations), bytes.Equal(wantB, gotB))
 		runs += 2 * tc.seeds
 	}
 
 	fmt.Printf("E10's 32-seed recovery measurement, ground-truth sweep pruned:\n")
-	fmt.Printf("%-12s %7s %8s %7s %7s %10s\n",
-		"site", "recall", "classes", "passes", "saved", "identical")
+	fmt.Printf("%-12s %7s %8s %7s %7s %9s %9s %10s\n",
+		"site", "recall", "classes", "passes", "saved", "plain-ms", "pruned-ms", "identical")
 	recovery := []struct {
 		name string
 		site *loader.Site
@@ -763,15 +771,19 @@ func runPrune(seed int64) {
 	}
 	const sweepSeeds = 32
 	for _, tc := range recovery {
+		t0 := time.Now()
 		plain, err := webracer.MeasureRecovery(tc.site, webracer.DefaultConfig(seed), sweepSeeds,
 			webracer.ParallelConfig{Workers: workers})
+		plainMS := msSince(t0)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			continue
 		}
 		var stats webracer.ClassStats
+		t0 = time.Now()
 		pruned, err := webracer.MeasureRecovery(tc.site, webracer.DefaultConfig(seed), sweepSeeds,
 			webracer.ParallelConfig{Workers: workers, Prune: true, Classes: &stats})
+		prunedMS := msSince(t0)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			continue
@@ -779,12 +791,14 @@ func runPrune(seed int64) {
 		wantB, _ := json.Marshal(plain)
 		gotB, _ := json.Marshal(pruned)
 		passes := stats.Executions - stats.Pruned
-		fmt.Printf("%-12s %6.0f%% %8d %7d %6.0f%% %10v\n",
+		fmt.Printf("%-12s %6.0f%% %8d %7d %6.0f%% %9.1f %9.1f %10v\n",
 			tc.name, 100*pruned.Recall(), stats.Distinct, passes,
-			100*float64(stats.Pruned)/float64(stats.Executions), bytes.Equal(wantB, gotB))
+			100*float64(stats.Pruned)/float64(stats.Executions), plainMS, prunedMS,
+			bytes.Equal(wantB, gotB))
 		runs += 2 * (sweepSeeds + 1)
 	}
-	fmt.Printf("(%s; identical=true is the union AND the per-seed counts, byte-compared.\n",
+	fmt.Printf("(%s; identical=true is the union AND the per-seed counts, byte-compared;\n",
 		sweepStats(runs, time.Since(start)))
+	fmt.Printf(" plain-ms and pruned-ms are each sweep's wall time, one run, not averaged.\n")
 	fmt.Printf(" See EXPERIMENTS.md E12 and DESIGN.md \"Schedule pruning\".)\n\n")
 }

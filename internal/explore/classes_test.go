@@ -1,7 +1,7 @@
 package explore
 
 import (
-	"strings"
+	"encoding/json"
 	"testing"
 
 	"webracer/internal/obs"
@@ -26,37 +26,31 @@ func TestClassSetObserve(t *testing.T) {
 	}
 }
 
+// TestClassSetSteering pins ClassStats' wire shape: the summary webracerd
+// returns as "classes" carries exactly the three class counters.
 func TestClassSetSteering(t *testing.T) {
 	cs := NewClassSet()
-	hasURL := func(url string) func(string) bool {
-		return func(key string) bool { return strings.Contains(key, url) }
+	cs.Observe("a")
+	cs.Observe("a")
+	cs.Degraded()
+	b, err := json.Marshal(cs.Stats())
+	if err != nil {
+		t.Fatal(err)
 	}
-	cs.NotePair("var a.x|exe lib.js|handler click", true)
-	if !cs.OneWay(hasURL("lib.js")) {
-		t.Error("one-way pair not reported")
-	}
-	if cs.OneWay(hasURL("other.js")) {
-		t.Error("unrelated URL matched a pair")
-	}
-	cs.NotePair("var a.x|exe lib.js|handler click", false)
-	if cs.OneWay(hasURL("lib.js")) {
-		t.Error("pair ordered both ways still reported as one-way")
-	}
-	cs.NoteSteered()
-	if cs.Stats().Steered != 1 {
-		t.Errorf("steered = %d, want 1", cs.Stats().Steered)
+	const want = `{"executions":3,"distinct":1,"pruned":1}`
+	if string(b) != want {
+		t.Errorf("ClassStats marshals to %s, want %s", b, want)
 	}
 }
 
 func TestClassStatsFold(t *testing.T) {
 	m := obs.New()
-	ClassStats{Executions: 8, Distinct: 3, Pruned: 5, Steered: 2}.Fold(m)
+	ClassStats{Executions: 8, Distinct: 3, Pruned: 5}.Fold(m)
 	snap := m.Snapshot()
 	want := map[string]int64{
 		"explore.classes.executions": 8,
 		"explore.classes.distinct":   3,
 		"explore.classes.pruned":     5,
-		"explore.classes.steered":    2,
 	}
 	for name, val := range want {
 		if snap[name] != val {

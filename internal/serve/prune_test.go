@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -104,5 +105,60 @@ func TestPruneDetectorRejected(t *testing.T) {
 		`{"site":`+racySite+`,"prune":true,"detector":"predictive"}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("prune with predictive: %d %s, want 400", resp.StatusCode, b)
+	}
+}
+
+// TestPrunedSweepDegraded: a sweep with an interrupted run lists that run
+// in "degraded", pruned or not, and is never cached — the repeat is a
+// miss. The delay-one site's baseline is clean, but a.js spins until the
+// virtual-time budget when b.js is slowed; every seed of the spin site
+// spins. Pruned and unpruned bodies match apart from id and classes.
+func TestPrunedSweepDegraded(t *testing.T) {
+	const delayOneSite = `{"name":"degraded","resources":{` +
+		`"index.html":"<script src=\"a.js\" async></script><script src=\"b.js\" async></script>",` +
+		`"a.js":"setTimeout(function(){ if(!window.bDone){ (function spin(){ setTimeout(spin, 50); })(); } }, 1000);",` +
+		`"b.js":"window.bDone = true;"}}`
+	const spinSite = `{"name":"spin","resources":{` +
+		`"index.html":"<script>(function spin(){ setTimeout(spin, 50); })();</script>"}}`
+	cases := []struct {
+		name, body string
+		degraded   []string
+	}{
+		{"delay-one", `{"site":` + delayOneSite + `,"mode":"delay-one"`,
+			[]string{"slow:b.js: virtual-time budget"}},
+		{"seeds", `{"site":` + spinSite + `,"seeds":2,"seed":3`,
+			[]string{"seed 3: virtual-time budget", "seed 7922: virtual-time budget"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := newTestServer(t, Config{Workers: 2})
+			var bodies [2]SweepResponse
+			for i, prune := range []string{"}", `,"prune":true}`} {
+				resp, b := post(t, ts, "/v1/sweep", tc.body+prune)
+				if resp.StatusCode != 200 {
+					t.Fatalf("%s: %d %s", prune, resp.StatusCode, b)
+				}
+				if err := json.Unmarshal(b, &bodies[i]); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(bodies[i].Degraded, tc.degraded) {
+					t.Errorf("%s: degraded = %q, want %q", prune, bodies[i].Degraded, tc.degraded)
+				}
+				resp, _ = post(t, ts, "/v1/sweep", tc.body+prune)
+				if h := resp.Header.Get("X-Webracer-Cache"); h != "miss" {
+					t.Errorf("%s: degraded sweep repeat: X-Webracer-Cache = %q, want miss", prune, h)
+				}
+			}
+			pr := bodies[1]
+			if pr.Classes == nil {
+				t.Fatal("pruned sweep has no classes summary")
+			}
+			pr.ID, pr.Classes = bodies[0].ID, nil
+			prB, _ := json.Marshal(pr)
+			plB, _ := json.Marshal(bodies[0])
+			if !bytes.Equal(prB, plB) {
+				t.Errorf("pruned body differs:\npruned:   %s\nunpruned: %s", prB, plB)
+			}
+		})
 	}
 }

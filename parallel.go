@@ -2,9 +2,12 @@ package webracer
 
 import (
 	"context"
+	"fmt"
 
+	"webracer/internal/explore"
 	"webracer/internal/loader"
 	"webracer/internal/pool"
+	"webracer/internal/race"
 )
 
 // ParallelConfig tunes the parallel sweep engine. Every sweep unit — one
@@ -43,8 +46,7 @@ type ParallelConfig struct {
 	Prune bool
 	// Classes, when non-nil with Prune set, receives the sweep's
 	// pruning summary (executions, distinct classes, pruned detector
-	// passes, steering decisions) — the same numbers the
-	// explore.classes.* counters export.
+	// passes) — the same numbers the explore.classes.* counters export.
 	Classes *ClassStats
 }
 
@@ -71,6 +73,58 @@ func RunCorpusParallel(n int, gen func(i int) *loader.Site, cfg Config, p Parall
 	})
 }
 
+// runUnits is the one unit runner behind the seed and delay-one sweeps:
+// it executes units 0..n-1 of site, unit i under config(i), over
+// p.Workers, and hands each result to fold in unit order with Reports
+// filled. Without p.Prune every unit runs as configured. With p.Prune
+// every unit runs cheaply (cheapConfig: trace recorded, no live
+// detector) and is fingerprinted on its worker; the fold then runs the
+// detector pass (analyzeClass) on the first member of each trace class
+// only, and later members take their representative's Reports.
+// Interrupted runs are always analyzed and never join a class. p.Classes,
+// when non-nil, receives the class summary of a pruned sweep.
+func runUnits(site *loader.Site, n int, p ParallelConfig, config func(i int) Config, fold func(i int, res *Result)) error {
+	if !p.Prune {
+		return pool.Each(p.opts(), n,
+			func(i int) *Result { return RunConfig(site, config(i)) },
+			func(i int, res *Result) error {
+				fold(i, res)
+				return nil
+			})
+	}
+	if err := prunable(config(0)); err != nil {
+		return err
+	}
+	type unit struct {
+		res *Result
+		fp  string
+	}
+	cs := explore.NewClassSet()
+	verdicts := map[string][]race.Report{}
+	err := pool.Each(p.opts(), n,
+		func(i int) unit {
+			res := RunConfig(site, cheapConfig(config(i)))
+			return unit{res, fingerprintOf(res)}
+		},
+		func(i int, u unit) error {
+			if u.res.Interrupted != "" {
+				cs.Degraded()
+				analyzeClass(config(i), u.res)
+			} else if _, first := cs.Observe(u.fp); first {
+				analyzeClass(config(i), u.res)
+				verdicts[u.fp] = u.res.Reports
+			} else {
+				u.res.Reports = verdicts[u.fp]
+			}
+			fold(i, u.res)
+			return nil
+		})
+	if p.Classes != nil {
+		*p.Classes = cs.Stats()
+	}
+	return err
+}
+
 // RunSeedsParallel is RunSeeds sharded over p.Workers. Per-seed results
 // are folded into the sweep in seed order under a bounded window, so the
 // aggregate is identical to the serial sweep while holding only O(window)
@@ -78,18 +132,20 @@ func RunCorpusParallel(n int, gen func(i int) *loader.Site, cfg Config, p Parall
 // detector pass (see ParallelConfig.Prune) and the aggregate is still
 // byte-identical.
 func RunSeedsParallel(site *loader.Site, cfg Config, n int, p ParallelConfig) (*SeedSweep, error) {
-	if p.Prune {
-		return runSeedsPruned(site, cfg, n, p)
-	}
+	seed := func(i int) int64 { return cfg.Seed + int64(i)*7919 }
 	sweep := &SeedSweep{Locations: map[string]int{}, Seeds: n}
-	err := pool.Each(p.opts(), n,
-		func(i int) *Result {
+	err := runUnits(site, n, p,
+		func(i int) Config {
 			c := cfg
-			c.Seed = cfg.Seed + int64(i)*7919
-			return RunConfig(site, c)
+			c.Seed = seed(i)
+			return c
 		},
-		func(i int, res *Result) error {
+		func(i int, res *Result) {
+			sweep.Ops += res.Ops
 			sweep.PerSeed = append(sweep.PerSeed, len(res.Reports))
+			if res.Interrupted != "" {
+				sweep.Degraded = append(sweep.Degraded, fmt.Sprintf("seed %d: %s", seed(i), res.Interrupted))
+			}
 			seen := map[string]bool{}
 			for _, r := range res.Reports {
 				key := r.Loc.String()
@@ -98,7 +154,6 @@ func RunSeedsParallel(site *loader.Site, cfg Config, n int, p ParallelConfig) (*
 					sweep.Locations[key]++
 				}
 			}
-			return nil
 		})
 	return sweep, err
 }
@@ -109,49 +164,42 @@ func RunSeedsParallel(site *loader.Site, cfg Config, n int, p ParallelConfig) (*
 // (baseline first, then URLs sorted), so ByLocation, NewlyExposed and
 // Reports are identical to the serial sweep. With p.Prune set,
 // perturbations that land in an already-explored trace class skip their
-// detector pass and the fold counts which perturbations steering would
-// prioritize (see ParallelConfig.Prune).
+// detector pass (see ParallelConfig.Prune).
 func ExploreSchedulesParallel(site *loader.Site, cfg Config, p ParallelConfig) (*ScheduleSweep, error) {
-	if p.Prune {
-		return exploreSchedulesPruned(site, cfg, p)
-	}
 	urls := resourceURLs(site)
-
 	sweep := &ScheduleSweep{ByLocation: map[string][]string{}}
 	seenLoc := map[string]bool{}
-	record := func(label string, res *Result) {
-		for _, r := range res.Reports {
-			key := r.Loc.String()
-			sweep.ByLocation[key] = append(sweep.ByLocation[key], label)
-			if !seenLoc[key] {
-				seenLoc[key] = true
-				sweep.Reports = append(sweep.Reports, r)
-			}
-		}
-	}
-
 	// Unit 0 is the baseline; unit i+1 slows urls[i] pathologically.
-	err := pool.Each(p.opts(), 1+len(urls),
-		func(i int) *Result {
-			if i == 0 {
-				return RunConfig(site, cfg)
-			}
+	err := runUnits(site, 1+len(urls), p,
+		func(i int) Config {
 			c := cfg
-			c.Seed = cfg.Seed + 1 // keep jitter stable; the override is the perturbation
-			c.Browser.Latency = slowOne(c.Browser.Latency, urls[i-1])
-			return RunConfig(site, c)
+			if i > 0 {
+				c.Seed = cfg.Seed + 1 // keep jitter stable; the override is the perturbation
+				c.Browser.Latency = slowOne(c.Browser.Latency, urls[i-1])
+			}
+			return c
 		},
-		func(i int, res *Result) error {
+		func(i int, res *Result) {
 			sweep.Runs++
+			label, name := "", "baseline"
 			if i == 0 {
 				sweep.Baseline = res
-				record("", res)
 			} else {
-				record("slow:"+urls[i-1], res)
+				label = "slow:" + urls[i-1]
+				name = label
 			}
-			return nil
+			if res.Interrupted != "" {
+				sweep.Degraded = append(sweep.Degraded, name+": "+res.Interrupted)
+			}
+			for _, r := range res.Reports {
+				key := r.Loc.String()
+				sweep.ByLocation[key] = append(sweep.ByLocation[key], label)
+				if !seenLoc[key] {
+					seenLoc[key] = true
+					sweep.Reports = append(sweep.Reports, r)
+				}
+			}
 		})
-
 	finishScheduleSweep(sweep)
 	return sweep, err
 }

@@ -13,7 +13,6 @@ import (
 	"webracer/internal/loader"
 	"webracer/internal/mem"
 	"webracer/internal/op"
-	"webracer/internal/pool"
 	"webracer/internal/race"
 )
 
@@ -22,8 +21,8 @@ import (
 // and the explore.classes.* counter mapping.
 type ClassStats = explore.ClassStats
 
-// ErrPruneDetector is returned (wrapped) by the pruned sweep drivers when
-// cfg.Detector cannot be re-derived from a recorded trace: pruning
+// ErrPruneDetector is returned (wrapped) by a pruned seed or delay-one
+// sweep when cfg.Detector cannot be re-derived from a recorded trace: pruning
 // replays the class representative's access trace through the detector
 // once per class, which is exact for the pairwise, accessset and
 // pairwise-vc detectors but undefined for the predictive detector (its
@@ -58,14 +57,6 @@ func cheapConfig(cfg Config) Config {
 	c.RecordTrace = true
 	c.Browser.Detector = func(*hb.Graph) race.Detector { return nullDetector{} }
 	return c
-}
-
-// classifiedResult pairs a cheap-pass result with its canonical trace
-// class; the fingerprint is computed worker-side so the in-order fold
-// stays light.
-type classifiedResult struct {
-	res *Result
-	fp  string
 }
 
 // fingerprintOf computes the run's canonical trace-class fingerprint:
@@ -178,8 +169,8 @@ func canonName(s string) string {
 // replayDetector builds the detector a recorded trace is replayed
 // through — the same algorithm the live run would have used, instantiated
 // over the finished graph. It is the one vector-clock builder: for
-// pairwise-vc it wraps hb.NewClocks, and Run, the pruned drivers' class
-// passes and ReplayVC all replay through it. The replay-equals-live
+// pairwise-vc it wraps hb.NewClocks, and Run, the class passes of pruned
+// sweeps and ReplayVC all replay through it. The replay-equals-live
 // invariant is pinned by the differential battery.
 func replayDetector(cfg Config, res *Result) race.Detector {
 	var ropts []race.Option
@@ -205,193 +196,6 @@ func replayDetector(cfg Config, res *Result) race.Detector {
 func analyzeClass(cfg Config, res *Result) {
 	res.RawReports = race.Replay(res.Browser.Trace(), replayDetector(cfg, res))
 	finishReports(cfg, res, nil)
-}
-
-// notePairs folds the class representative's conflicting event pairs
-// into the steering index: for every location with two accesses by
-// different operations, at least one a write, record which way the pair
-// is ordered (unordered pairs are already races — there is nothing left
-// to flip). Keys are location plus the two operation labels, so a
-// perturbation can be matched to the pairs its delayed URL could flip.
-func notePairs(cs *explore.ClassSet, res *Result) {
-	byLoc := map[string][]race.Access{}
-	seen := map[string]bool{}
-	for _, a := range res.Browser.Trace() {
-		key := a.Loc.String()
-		dedup := key + "|" + fmt.Sprint(a.Op) + "|" + a.Kind.String()
-		if seen[dedup] {
-			continue
-		}
-		seen[dedup] = true
-		byLoc[key] = append(byLoc[key], a)
-	}
-	g := res.Browser.HB
-	label := func(id op.ID) string {
-		o := res.Browser.Ops.Get(id)
-		return o.Kind.String() + " " + o.Label
-	}
-	for locKey, accs := range byLoc {
-		for i := 0; i < len(accs); i++ {
-			for j := i + 1; j < len(accs); j++ {
-				x, y := accs[i], accs[j]
-				if x.Op == y.Op || (x.Kind != mem.Write && y.Kind != mem.Write) {
-					continue
-				}
-				var forward bool
-				switch {
-				case g.HappensBefore(x.Op, y.Op):
-					forward = true
-				case g.HappensBefore(y.Op, x.Op):
-					x, y = y, x
-					forward = true
-				default:
-					continue // unordered: already racing
-				}
-				lx, ly := label(x.Op), label(y.Op)
-				if lx <= ly {
-					cs.NotePair(locKey+"|"+lx+"|"+ly, forward)
-				} else {
-					cs.NotePair(locKey+"|"+ly+"|"+lx, !forward)
-				}
-			}
-		}
-	}
-}
-
-// runSeedsPruned is RunSeedsParallel's pruned path: every seed still
-// executes (cheaply — trace recorded, no live detector), each execution
-// is classified by its canonical fingerprint, and only the first member
-// of each class pays the detector pass; repeats reuse the class verdict.
-// Because HB-equivalent executions report exactly the same races, the
-// folded SeedSweep is byte-identical to the unpruned sweep's at any
-// worker count (the differential battery pins this on the sched, fault
-// and stress corpora).
-func runSeedsPruned(site *loader.Site, cfg Config, n int, p ParallelConfig) (*SeedSweep, error) {
-	if err := prunable(cfg); err != nil {
-		return nil, err
-	}
-	type classInfo struct {
-		count int
-		locs  []string
-	}
-	cs := explore.NewClassSet()
-	classes := map[string]*classInfo{}
-	sweep := &SeedSweep{Locations: map[string]int{}, Seeds: n}
-	err := pool.Each(p.opts(), n,
-		func(i int) classifiedResult {
-			c := cheapConfig(cfg)
-			c.Seed = cfg.Seed + int64(i)*7919
-			res := RunConfig(site, c)
-			return classifiedResult{res, fingerprintOf(res)}
-		},
-		func(i int, cr classifiedResult) error {
-			var ci *classInfo
-			if cr.res.Interrupted != "" {
-				cs.Degraded()
-			} else if _, first := cs.Observe(cr.fp); !first {
-				ci = classes[cr.fp]
-			}
-			if ci == nil {
-				analyzeClass(cfg, cr.res)
-				ci = &classInfo{count: len(cr.res.Reports)}
-				seen := map[string]bool{}
-				for _, r := range cr.res.Reports {
-					key := r.Loc.String()
-					if !seen[key] {
-						seen[key] = true
-						ci.locs = append(ci.locs, key)
-					}
-				}
-				if cr.res.Interrupted == "" {
-					classes[cr.fp] = ci
-					notePairs(cs, cr.res)
-				}
-			}
-			sweep.PerSeed = append(sweep.PerSeed, ci.count)
-			for _, key := range ci.locs {
-				sweep.Locations[key]++
-			}
-			return nil
-		})
-	if p.Classes != nil {
-		*p.Classes = cs.Stats()
-	}
-	return sweep, err
-}
-
-// exploreSchedulesPruned is ExploreSchedulesParallel's pruned path: the
-// baseline and each delay-one perturbation run cheaply, classify, and
-// pay the detector pass once per class. The fold additionally makes the
-// steering decision for each perturbation before its class is absorbed:
-// a perturbation whose delayed URL appears in a conflicting pair ordered
-// only one way across the classes explored so far is the budget the
-// sweep would keep under a cap (ClassStats.Steered counts these
-// decisions). The aggregate equals the unpruned sweep's exactly.
-func exploreSchedulesPruned(site *loader.Site, cfg Config, p ParallelConfig) (*ScheduleSweep, error) {
-	if err := prunable(cfg); err != nil {
-		return nil, err
-	}
-	urls := resourceURLs(site)
-	cs := explore.NewClassSet()
-	classes := map[string][]race.Report{}
-	sweep := &ScheduleSweep{ByLocation: map[string][]string{}}
-	seenLoc := map[string]bool{}
-	record := func(label string, reports []race.Report) {
-		for _, r := range reports {
-			key := r.Loc.String()
-			sweep.ByLocation[key] = append(sweep.ByLocation[key], label)
-			if !seenLoc[key] {
-				seenLoc[key] = true
-				sweep.Reports = append(sweep.Reports, r)
-			}
-		}
-	}
-	err := pool.Each(p.opts(), 1+len(urls),
-		func(i int) classifiedResult {
-			c := cheapConfig(cfg)
-			if i > 0 {
-				c.Seed = cfg.Seed + 1 // keep jitter stable; the override is the perturbation
-				c.Browser.Latency = slowOne(c.Browser.Latency, urls[i-1])
-			}
-			res := RunConfig(site, c)
-			return classifiedResult{res, fingerprintOf(res)}
-		},
-		func(i int, cr classifiedResult) error {
-			sweep.Runs++
-			// Steering decision first, against the classes explored
-			// before this unit: would this perturbation's URL flip a
-			// pair ordered only one way so far?
-			if i > 0 && cs.OneWay(func(key string) bool {
-				return strings.Contains(key, urls[i-1])
-			}) {
-				cs.NoteSteered()
-			}
-			var reports []race.Report
-			if cr.res.Interrupted != "" {
-				cs.Degraded()
-				analyzeClass(cfg, cr.res)
-				reports = cr.res.Reports
-			} else if _, first := cs.Observe(cr.fp); first {
-				analyzeClass(cfg, cr.res)
-				reports = cr.res.Reports
-				classes[cr.fp] = reports
-				notePairs(cs, cr.res)
-			} else {
-				reports = classes[cr.fp]
-			}
-			if i == 0 {
-				sweep.Baseline = cr.res
-				record("", reports)
-			} else {
-				record("slow:"+urls[i-1], reports)
-			}
-			return nil
-		})
-	finishScheduleSweep(sweep)
-	if p.Classes != nil {
-		*p.Classes = cs.Stats()
-	}
-	return sweep, err
 }
 
 // resourceURLs returns the site's resource URLs in the sweep's canonical

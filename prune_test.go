@@ -264,3 +264,89 @@ func TestPruneFiltersIdentical(t *testing.T) {
 		t.Errorf("filtered pruned sweep differs:\npruned:   %s\nunpruned: %s", got, want)
 	}
 }
+
+// degradedSite is a page with exactly one interrupted delay-one run:
+// a.js checks for b.js after one virtual second and, when b.js has not
+// run yet, spins a timer loop until the virtual-time budget stops the
+// page. The baseline loads b.js in time; the slow:b.js perturbation
+// does not.
+func degradedSite() *loader.Site {
+	return loader.NewSite("degraded").
+		Add("index.html", `<script src="a.js" async></script><script src="b.js" async></script>`).
+		Add("a.js", `setTimeout(function(){ if(!window.bDone){ (function spin(){ setTimeout(spin, 50); })(); } }, 1000);`).
+		Add("b.js", `window.bDone = true;`)
+}
+
+// TestPruneScheduleSweepDegraded: a delay-one sweep names each
+// interrupted run in Degraded — here the slow:b.js perturbation, not the
+// clean baseline — and the whole sweep is identical pruned and unpruned
+// at workers 1 and 4.
+func TestPruneScheduleSweepDegraded(t *testing.T) {
+	site := degradedSite()
+	cfg := DefaultConfig(1)
+	plain, err := ExploreSchedulesParallel(site, cfg, ParallelConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"slow:b.js: virtual-time budget"}
+	if !reflect.DeepEqual(plain.Degraded, want) {
+		t.Fatalf("unpruned Degraded = %q, want %q", plain.Degraded, want)
+	}
+	if plain.Baseline.Interrupted != "" {
+		t.Fatalf("baseline interrupted: %s", plain.Baseline.Interrupted)
+	}
+	for _, prune := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			var stats ClassStats
+			got, err := ExploreSchedulesParallel(site, cfg,
+				ParallelConfig{Workers: workers, Prune: prune, Classes: &stats})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Degraded, plain.Degraded) ||
+				!reflect.DeepEqual(got.ByLocation, plain.ByLocation) ||
+				!reflect.DeepEqual(got.NewlyExposed, plain.NewlyExposed) ||
+				!reflect.DeepEqual(got.Reports, plain.Reports) ||
+				got.Runs != plain.Runs {
+				t.Errorf("prune=%v workers=%d: sweep differs from the unpruned serial sweep", prune, workers)
+			}
+			if prune && stats.Distinct+stats.Pruned != stats.Executions-len(want) {
+				t.Errorf("prune workers=%d: interrupted run classified: %+v", workers, stats)
+			}
+		}
+	}
+}
+
+// TestPruneSeedSweepDegraded: every seed of a page that never settles
+// stops on the virtual-time budget; the seed sweep names each one as
+// "seed N: reason", and its bytes are identical pruned and unpruned at
+// workers 1 and 4.
+func TestPruneSeedSweepDegraded(t *testing.T) {
+	site := loader.NewSite("spin").
+		Add("index.html", `<script>window.x = 1; (function spin(){ setTimeout(spin, 50); })();</script>`)
+	cfg := DefaultConfig(1)
+	plain, err := RunSeedsParallel(site, cfg, 3, ParallelConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"seed 1: virtual-time budget",
+		"seed 7920: virtual-time budget",
+		"seed 15839: virtual-time budget",
+	}
+	if !reflect.DeepEqual(plain.Degraded, want) {
+		t.Fatalf("Degraded = %q, want %q", plain.Degraded, want)
+	}
+	wantB, _ := json.Marshal(plain)
+	for _, prune := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			got, err := RunSeedsParallel(site, cfg, 3, ParallelConfig{Workers: workers, Prune: prune})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotB, _ := json.Marshal(got); !bytes.Equal(gotB, wantB) {
+				t.Errorf("prune=%v workers=%d:\ngot:  %s\nwant: %s", prune, workers, gotB, wantB)
+			}
+		}
+	}
+}

@@ -23,6 +23,10 @@ type ScheduleSweep struct {
 	// Reports holds one representative report per location, in first-seen
 	// order across runs.
 	Reports []race.Report
+	// Degraded lists the runs that stopped early, one "baseline: reason"
+	// or "slow:URL: reason" entry each. Their partial results are still
+	// folded in.
+	Degraded []string `json:",omitempty"`
 }
 
 // ExploreSchedules runs the delay-one sweep. The detector already reasons

@@ -488,6 +488,12 @@ type SeedSweep struct {
 	Seeds int `json:"seeds"`
 	// PerSeed is the race count of each run.
 	PerSeed []int `json:"perSeed"`
+	// Degraded lists the runs that stopped early (wall-clock budget,
+	// cancellation, safety bounds), one "seed N: reason" entry each.
+	// Their partial results are still folded in.
+	Degraded []string `json:"degraded,omitempty"`
+	// Ops is the number of operations all runs performed together.
+	Ops int `json:"-"`
 }
 
 // RunSeeds performs a seed sweep over the site (serial; see
