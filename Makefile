@@ -11,8 +11,10 @@ all: build vet test obs docs linkcheck cluster loadtest prune perfsmoke
 build:
 	go build ./...
 
+# gofmt gate: any file gofmt would change is a failure.
 vet:
 	go vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # -race: the detector hunts web races while racing its own sharded
 # sweeps; the engine must be race-clean under the Go race detector.

@@ -234,10 +234,8 @@ func BenchmarkDetectorVCEpoch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		races = 0
 		for _, res := range results {
-			trace := res.Browser.Trace()
-			clocks := hb.NewClocks(res.Browser.HB)
-			d := race.NewPairwise(clocks, race.LocHint(len(trace)/4))
-			races += len(race.Replay(trace, d))
+			d := race.NewPairwise(hb.NewClocks(res.Browser.HB))
+			races += len(race.Replay(res.Browser.Trace(), d))
 		}
 	}
 	b.ReportMetric(float64(races), "races")

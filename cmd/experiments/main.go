@@ -397,10 +397,9 @@ func runAblation(seed int64, n int) {
 	runtime.GC()
 	t2 := time.Now()
 	for _, res := range results {
-		trace := res.Browser.Trace()
 		clocks := hb.NewClocks(res.Browser.HB)
-		d := race.NewPairwise(clocks, race.LocHint(len(trace)/4))
-		epochRaces += len(race.Replay(trace, d))
+		d := race.NewPairwise(clocks)
+		epochRaces += len(race.Replay(res.Browser.Trace(), d))
 		epochBytes += clocks.MemoryBytes()
 		mats += clocks.MaterializedClocks()
 	}

@@ -40,6 +40,9 @@ type Graph struct {
 	succs   [][]op.ID
 	closure []bitset // closure[i] = ancestor set of ID(i+1); nil if stale/unset
 	edges   int
+	// back counts edges from a higher ID to a lower one. While it is 0,
+	// IDs are a topological order and Concurrent asks one direction only.
+	back int
 
 	// weak marks edges that order operations only because of the schedule
 	// the run happened to observe (HB rule 9's dispatch serialization), not
@@ -58,10 +61,29 @@ func NewGraph() *Graph { return &Graph{} }
 func (g *Graph) AddNode(id op.ID) { g.grow(id) }
 
 func (g *Graph) grow(id op.ID) {
-	for len(g.preds) < int(id) {
-		g.preds = append(g.preds, nil)
-		g.succs = append(g.succs, nil)
-		g.closure = append(g.closure, nil)
+	n := int(id)
+	if n <= len(g.preds) {
+		return
+	}
+	if n > cap(g.preds) {
+		// Double: append grows large slices by only 1.25x.
+		c := max(n, 2*cap(g.preds), 64)
+		g.preds = append(make([][]op.ID, 0, c), g.preds...)
+		g.succs = append(make([][]op.ID, 0, c), g.succs...)
+		g.closure = append(make([]bitset, 0, c), g.closure...)
+	}
+	// The slices never shrink, so the entries exposed here are still nil.
+	g.preds, g.succs, g.closure = g.preds[:n], g.succs[:n], g.closure[:n]
+}
+
+// link adds the new edge a ⇝ b.
+func (g *Graph) link(a, b op.ID) {
+	g.preds[b-1] = append(g.preds[b-1], a)
+	g.succs[a-1] = append(g.succs[a-1], b)
+	g.invalidate(b)
+	g.edges++
+	if a > b {
+		g.back++
 	}
 }
 
@@ -83,10 +105,7 @@ func (g *Graph) Edge(a, b op.ID) {
 			return
 		}
 	}
-	g.preds[b-1] = append(g.preds[b-1], a)
-	g.succs[a-1] = append(g.succs[a-1], b)
-	g.invalidate(b)
-	g.edges++
+	g.link(a, b)
 }
 
 // WeakEdge records a ⇝ b like Edge but marks the edge as schedule-induced:
@@ -106,10 +125,7 @@ func (g *Graph) WeakEdge(a, b op.ID) {
 			return
 		}
 	}
-	g.preds[b-1] = append(g.preds[b-1], a)
-	g.succs[a-1] = append(g.succs[a-1], b)
-	g.invalidate(b)
-	g.edges++
+	g.link(a, b)
 	if g.weak == nil {
 		g.weak = map[uint64]struct{}{}
 	}
@@ -216,10 +232,17 @@ func (g *Graph) HappensBefore(a, b op.ID) bool {
 
 // Concurrent reports whether two operations can happen concurrently
 // (CHC in §5.1): both are real operations and neither happens before the
-// other. Concurrent(a, a) is false.
+// other. Concurrent(a, a) is false. While every edge runs from a lower ID
+// to a higher one, a path can only climb, so only the lower operation can
+// happen before the higher: one query, and no closure is built for the
+// lower operation. The first edge to a lower ID switches to the two-way
+// check for good.
 func (g *Graph) Concurrent(a, b op.ID) bool {
 	if a == op.None || b == op.None || a == b {
 		return false
+	}
+	if g.back == 0 {
+		return !g.HappensBefore(min(a, b), max(a, b))
 	}
 	return !g.HappensBefore(a, b) && !g.HappensBefore(b, a)
 }

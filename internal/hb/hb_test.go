@@ -510,3 +510,75 @@ func BenchmarkClocksQuery(b *testing.B) {
 		c.Concurrent(a, d)
 	}
 }
+
+// TestConcurrentMatchesReachability: Graph.Concurrent equals brute-force
+// reachability in both directions on random DAGs — with every edge from a
+// lower ID to a higher one (the one-way fast path), and after a back edge
+// to a lower ID arrives through Edge or WeakEdge (the two-way fallback),
+// with and without closures memoized before the back edge.
+func TestConcurrentMatchesReachability(t *testing.T) {
+	check := func(g *Graph, n int) bool {
+		for a := op.ID(0); int(a) <= n+1; a++ {
+			for b := op.ID(0); int(b) <= n+1; b++ {
+				want := a != op.None && b != op.None && a != b && !reachSlow(g, a, b) && !reachSlow(g, b, a)
+				if g.Concurrent(a, b) != want {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	for _, back := range []string{"none", "edge", "weak"} {
+		for _, memo := range []bool{false, true} {
+			f := func(seed int64) bool {
+				r := rand.New(rand.NewSource(seed))
+				n := 3 + r.Intn(25)
+				g := NewGraph()
+				g.AddNode(op.ID(n))
+				for b := 2; b <= n; b++ {
+					for a := 1; a < b; a++ {
+						switch x := r.Float64(); {
+						case x < 0.08:
+							g.Edge(op.ID(a), op.ID(b))
+						case x < 0.15:
+							g.WeakEdge(op.ID(a), op.ID(b))
+						}
+					}
+				}
+				if g.back != 0 {
+					return false
+				}
+				if memo && !check(g, n) {
+					return false
+				}
+				if back == "none" {
+					return check(g, n)
+				}
+				// A back edge hi ⇝ lo keeps the graph acyclic when lo
+				// does not already reach hi.
+				var lo, hi op.ID
+				for try := 0; try < 100 && hi == 0; try++ {
+					x, y := op.ID(1+r.Intn(n)), op.ID(1+r.Intn(n))
+					if x < y && !reachSlow(g, x, y) {
+						lo, hi = x, y
+					}
+				}
+				if hi == 0 {
+					return true // too dense for a back edge; nothing to check
+				}
+				if back == "edge" {
+					g.Edge(hi, lo)
+				} else {
+					g.WeakEdge(hi, lo)
+				}
+				if g.back != 1 || !g.HappensBefore(hi, lo) {
+					return false
+				}
+				return check(g, n)
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+				t.Errorf("back edge %s, memoized %v: %v", back, memo, err)
+			}
+		}
+	}
+}

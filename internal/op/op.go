@@ -110,6 +110,10 @@ type Table struct {
 // New registers a new operation of the given kind and returns its ID.
 func (t *Table) New(kind Kind, label string) ID {
 	id := ID(len(t.ops) + 1)
+	if len(t.ops) == cap(t.ops) {
+		// Double: append grows large slices by only 1.25x.
+		t.ops = append(make([]Op, 0, max(64, 2*cap(t.ops))), t.ops...)
+	}
 	t.ops = append(t.ops, Op{ID: id, Kind: kind, Label: label, Seq: -1})
 	return id
 }

@@ -35,6 +35,7 @@ package race
 
 import (
 	"fmt"
+	"math/bits"
 
 	"webracer/internal/hb"
 	"webracer/internal/mem"
@@ -94,7 +95,6 @@ type Option func(*options)
 type options struct {
 	reportAll bool
 	onePerLoc bool
-	locHint   int
 }
 
 // ReportAll disables Pairwise's one-race-per-location cap (used by tests
@@ -104,11 +104,6 @@ func ReportAll() Option { return func(o *options) { o.reportAll = true } }
 // OnePerLoc gives AccessSet WebRacer's at-most-one-race-per-location
 // reporting.
 func OnePerLoc() Option { return func(o *options) { o.onePerLoc = true } }
-
-// LocHint pre-sizes Pairwise's per-location tables for roughly n distinct
-// locations, sparing large replays the incremental rehash churn. It is
-// purely a capacity hint: any value (including zero) is correct.
-func LocHint(n int) Option { return func(o *options) { o.locHint = n } }
 
 func buildOptions(opts []Option) options {
 	var o options
@@ -140,31 +135,83 @@ type PairwiseStats struct {
 	Demotions int
 }
 
-// pairState is Pairwise's constant per-location state: the paper's
-// LastRead/LastWrite pair rewritten as epochs. writeEp/readEp cache the
-// chain@pos coordinates of the remembered accesses so the hot path
-// compares integers without calling back into the oracle; an epoch oracle
-// is a snapshot, so a cached coordinate never goes stale. certs caches
-// ordering certificates for the current write: an entry (chain → pos)
-// means the write happens before the operation that sat at chain@pos —
-// and therefore before anything later on that chain. The certificate side
-// is adaptive in the FastTrack sense: a location read from one chain
-// carries at most a single certificate inline (cert); reads from a second
-// chain promote it to the certs map (read-shared); the next write demotes
-// the location back to the inline form, since certificates describe only
-// the write they were minted against.
-type pairState struct {
-	write    Access
-	read     Access
-	hasWrite bool
-	hasRead  bool
-	reported bool
+// locKey is a mem.Loc with its Name interned: the key of Pairwise's
+// location index. It holds no pointers, so the GC never scans the index.
+type locKey struct {
+	kind  mem.Kind
+	name  uint32
+	obj   uint64
+	extra uint64
+}
 
-	writeEp hb.Epoch
-	readEp  hb.Epoch
-	cert    hb.Epoch
-	hasCert bool
-	certs   map[int32]int32
+// pairState flags.
+const (
+	hasWrite uint8 = 1 << iota
+	hasRead
+	reported
+)
+
+// pairState is Pairwise's constant per-location state: the paper's
+// LastRead/LastWrite pair, cut down to what a later check or report needs.
+// The access kind is implied by the slot and the location by the state's
+// index, and the two Desc strings live in the parallel descPair pages, so
+// a state holds no pointers and the GC never scans the state pages.
+type pairState struct {
+	writeOp, readOp   op.ID
+	writeCtx, readCtx mem.Context
+	flags             uint8
+}
+
+// descPair holds the Desc strings of a location's remembered accesses.
+type descPair struct{ write, read string }
+
+// epochState is the epoch fast path's per-location state, kept only when
+// the oracle is an hb.EpochOracle. writeEp/readEp cache the chain@pos
+// coordinates of the remembered accesses so the hot path compares integers
+// without calling back into the oracle; an epoch oracle is a snapshot, so
+// a cached coordinate never goes stale. The certificates cache orderings
+// for the current write: a certificate chain@pos means the write happens
+// before the operation that sat at chain@pos — and therefore before
+// anything later on that chain. The certificate side is adaptive in the
+// FastTrack sense: a location read from one chain carries at most a single
+// certificate inline (cert); reads from a second chain promote it to a
+// per-chain map (read-shared); the next write demotes the location back to
+// the inline form, since certificates describe only the write they were
+// minted against. The map lives in Pairwise.certs at index certs-1; a
+// location keeps its slot after a demotion and reuses it when it is
+// promoted again.
+type epochState struct {
+	writeEp, readEp hb.Epoch
+	cert            hb.Epoch
+	certs           uint32
+	hasCert         bool
+	shared          bool
+}
+
+// pages is an append-only array whose entries never move: page k holds
+// 64<<k entries, so growing allocates one page at a time and copies
+// nothing, and n entries take O(log n) pages.
+type pages[T any] struct{ p [][]T }
+
+// pageOf splits index i into its page and the offset within that page.
+func pageOf(i uint32) (page int, off uint) {
+	j := uint(i) + 64
+	page = bits.Len(j) - 7
+	return page, j - 64<<page
+}
+
+// at returns entry i; add must have made room for it.
+func (s *pages[T]) at(i uint32) *T {
+	k, off := pageOf(i)
+	return &s.p[k][off]
+}
+
+// add makes room for entry i, the next index after every earlier call;
+// the entry starts zeroed.
+func (s *pages[T]) add(i uint32) {
+	if k, _ := pageOf(i); k == len(s.p) {
+		s.p = append(s.p, make([]T, 64<<k))
+	}
 }
 
 // Pairwise is the detector of §5.1: for each location it remembers only the
@@ -172,12 +219,18 @@ type pairState struct {
 // current access can happen concurrently with the remembered conflicting
 // access. Like WebRacer (footnote 13) it reports at most one race per
 // location per run.
+//
+// Each location is interned once into a dense per-detector id, and its
+// state lives at that id in pointer-free pages.
 type Pairwise struct {
 	oracle    hb.Oracle
 	epochs    hb.EpochOracle // non-nil when the epoch fast path is active
-	state     map[mem.Loc]*pairState
-	slab      []pairState // block-allocated states: stable pointers, no per-loc box
-	block     int         // slab block capacity
+	names     map[string]uint32
+	index     map[locKey]uint32
+	state     pages[pairState]
+	descs     pages[descPair]
+	eps       pages[epochState] // empty unless epochs != nil
+	certs     []map[int32]int32 // read-shared certificate maps
 	reports   []Report
 	reportAll bool
 	stats     PairwiseStats
@@ -188,14 +241,10 @@ type Pairwise struct {
 // hb.EpochOracle (hb.Clocks does; the graph does not).
 func NewPairwise(o hb.Oracle, opts ...Option) *Pairwise {
 	cfg := buildOptions(opts)
-	hint := cfg.locHint
-	if hint < 256 {
-		hint = 256
-	}
 	d := &Pairwise{
 		oracle:    o,
-		state:     make(map[mem.Loc]*pairState, hint),
-		block:     hint,
+		names:     make(map[string]uint32),
+		index:     make(map[locKey]uint32),
 		reportAll: cfg.reportAll,
 	}
 	if eo, ok := o.(hb.EpochOracle); ok {
@@ -213,20 +262,46 @@ func (d *Pairwise) Oracle() hb.Oracle { return d.oracle }
 // States reports how many distinct logical locations the detector holds
 // pairwise state for — the paper's constant-per-location auxiliary space,
 // measured.
-func (d *Pairwise) States() int { return len(d.state) }
+func (d *Pairwise) States() int { return len(d.index) }
 
-func (d *Pairwise) stateFor(l mem.Loc) *pairState {
-	if s, ok := d.state[l]; ok {
-		return s
+// key returns l's index key, interning its name.
+func (d *Pairwise) key(l mem.Loc) locKey {
+	name, ok := d.names[l.Name]
+	if !ok {
+		name = uint32(len(d.names))
+		d.names[l.Name] = name
 	}
-	if len(d.slab) == cap(d.slab) {
-		// Fresh block: existing pointers stay valid, appends never copy.
-		d.slab = make([]pairState, 0, d.block)
+	return locKey{kind: l.Kind, name: name, obj: l.Obj, extra: l.Extra}
+}
+
+// intern returns l's dense id, making room for a fresh state on first
+// sight.
+func (d *Pairwise) intern(l mem.Loc) uint32 {
+	k := d.key(l)
+	if id, ok := d.index[k]; ok {
+		return id
 	}
-	d.slab = append(d.slab, pairState{})
-	s := &d.slab[len(d.slab)-1]
-	d.state[l] = s
-	return s
+	id := uint32(len(d.index))
+	d.index[k] = id
+	d.state.add(id)
+	d.descs.add(id)
+	if d.epochs != nil {
+		d.eps.add(id)
+	}
+	return id
+}
+
+// remember makes a the location's last access of its kind.
+func (d *Pairwise) remember(id uint32, s *pairState, a Access) {
+	if a.Kind == mem.Read {
+		s.readOp, s.readCtx = a.Op, a.Ctx
+		s.flags |= hasRead
+		d.descs.at(id).read = a.Desc
+		return
+	}
+	s.writeOp, s.writeCtx = a.Op, a.Ctx
+	s.flags |= hasWrite
+	d.descs.at(id).write = a.Desc
 }
 
 // epochUnfetched marks a cached coordinate that has not been asked of the
@@ -234,27 +309,27 @@ func (d *Pairwise) stateFor(l mem.Loc) *pairState {
 // an access with no conflicting prior costs no oracle call at all.
 var epochUnfetched = hb.Epoch{Chain: -2}
 
-// concurrentEpoch decides CHC(prior.Op, cur) exactly like
-// oracle.Concurrent, from epochs. pe points at prior's cached coordinate
-// (s.writeEp or s.readEp) and ce at the current operation's per-call
-// cache; both are fetched lazily and at most once per OnAccess. s caches
-// write-ordering certificates; they are only consulted (and only written)
-// when prior is s.write.
-func (d *Pairwise) concurrentEpoch(s *pairState, prior Access, pe *hb.Epoch, isWrite bool, cur op.ID, ce *hb.Epoch) bool {
+// concurrentEpoch decides CHC(prior, cur) exactly like oracle.Concurrent,
+// from epochs. pe points at prior's cached coordinate (e.writeEp or
+// e.readEp) and ce at the current operation's per-call cache; both are
+// fetched lazily and at most once per OnAccess. e caches write-ordering
+// certificates; they are only consulted (and only written) when prior is
+// the location's last write.
+func (d *Pairwise) concurrentEpoch(e *epochState, prior op.ID, pe *hb.Epoch, isWrite bool, cur op.ID, ce *hb.Epoch) bool {
 	d.stats.Checks++
-	if prior.Op == cur {
+	if prior == cur {
 		d.stats.EpochHits++
 		return false
 	}
 	if pe.Chain == epochUnfetched.Chain {
-		*pe = d.epochs.Epoch(prior.Op)
+		*pe = d.epochs.Epoch(prior)
 	}
 	if ce.Chain == epochUnfetched.Chain {
 		*ce = d.epochs.Epoch(cur)
 	}
 	if pe.Chain < 0 || ce.Chain < 0 {
 		// Unknown operation: mirror the plain oracle bit for bit.
-		return d.oracle.Concurrent(prior.Op, cur)
+		return d.oracle.Concurrent(prior, cur)
 	}
 	if pe.Chain == ce.Chain {
 		// A chain is a path in the DAG: same-chain operations are
@@ -265,48 +340,55 @@ func (d *Pairwise) concurrentEpoch(s *pairState, prior Access, pe *hb.Epoch, isW
 	if isWrite {
 		// Certificate hit: the write is known ordered before an earlier
 		// point of cur's chain, hence before cur.
-		if s.hasCert && s.cert.Chain == ce.Chain && s.cert.Pos <= ce.Pos {
+		if e.hasCert && e.cert.Chain == ce.Chain && e.cert.Pos <= ce.Pos {
 			d.stats.EpochHits++
 			return false
 		}
-		if p, ok := s.certs[ce.Chain]; ok && p <= ce.Pos {
-			d.stats.EpochHits++
-			return false
+		if e.shared {
+			if p, ok := d.certs[e.certs-1][ce.Chain]; ok && p <= ce.Pos {
+				d.stats.EpochHits++
+				return false
+			}
 		}
 	}
 	d.stats.VectorChecks++
 	ordered := d.epochs.OrderedEpoch(*pe, cur)
 	if ordered && isWrite {
-		d.certify(s, *ce)
+		d.certify(e, *ce)
 	}
 	if ordered {
 		return false
 	}
-	return !d.epochs.OrderedEpoch(*ce, prior.Op)
+	return !d.epochs.OrderedEpoch(*ce, prior)
 }
 
 // certify records that the current write happens before chain@pos,
 // promoting the inline certificate to the read-shared map when a second
 // chain shows up.
-func (d *Pairwise) certify(s *pairState, e hb.Epoch) {
-	if !s.hasCert && s.certs == nil {
-		s.cert, s.hasCert = e, true
+func (d *Pairwise) certify(e *epochState, c hb.Epoch) {
+	if !e.hasCert && !e.shared {
+		e.cert, e.hasCert = c, true
 		return
 	}
-	if s.hasCert {
-		if s.cert.Chain == e.Chain {
-			if e.Pos < s.cert.Pos {
-				s.cert.Pos = e.Pos
+	if e.hasCert {
+		if e.cert.Chain == c.Chain {
+			if c.Pos < e.cert.Pos {
+				e.cert.Pos = c.Pos
 			}
 			return
 		}
 		// Read-share promotion: certificates now span chains.
-		s.certs = map[int32]int32{s.cert.Chain: s.cert.Pos}
-		s.hasCert = false
+		if e.certs == 0 {
+			d.certs = append(d.certs, map[int32]int32{})
+			e.certs = uint32(len(d.certs))
+		}
+		d.certs[e.certs-1][e.cert.Chain] = e.cert.Pos
+		e.hasCert, e.shared = false, true
 		d.stats.Promotions++
 	}
-	if p, ok := s.certs[e.Chain]; !ok || e.Pos < p {
-		s.certs[e.Chain] = e.Pos
+	m := d.certs[e.certs-1]
+	if p, ok := m[c.Chain]; !ok || c.Pos < p {
+		m[c.Chain] = c.Pos
 	}
 }
 
@@ -314,99 +396,109 @@ func (d *Pairwise) certify(s *pairState, e hb.Epoch) {
 // the previous write, and the read-shared map collapses back to the inline
 // form (write-after-read-share demotion — counted only when a promoted
 // map was actually discarded).
-func (d *Pairwise) demote(s *pairState) {
-	if s.certs != nil {
+func (d *Pairwise) demote(e *epochState) {
+	if e.shared {
 		d.stats.Demotions++
+		clear(d.certs[e.certs-1])
+		e.shared = false
 	}
-	s.hasCert = false
-	s.certs = nil
+	e.hasCert = false
 }
 
 // OnAccess implements Detector.
 func (d *Pairwise) OnAccess(a Access) {
-	s := d.stateFor(a.Loc)
-	if s.reported && !d.reportAll {
+	id := d.intern(a.Loc)
+	s := d.state.at(id)
+	if s.flags&reported != 0 && !d.reportAll {
 		// The location's one report is spent; nothing below can change
 		// the output, so skip the oracle entirely (an O(1) exit the
 		// plain path pays full queries for). Cached epochs go stale but
 		// are never read again for this location.
-		if a.Kind == mem.Read {
-			s.read, s.hasRead = a, true
-		} else {
-			s.write, s.hasWrite = a, true
-			d.demote(s)
+		d.remember(id, s, a)
+		if a.Kind == mem.Write && d.epochs != nil {
+			d.demote(d.eps.at(id))
 		}
 		return
 	}
 	if d.epochs != nil {
-		d.onAccessEpoch(s, a)
+		d.onAccessEpoch(id, s, a)
 		return
 	}
 	switch a.Kind {
 	case mem.Read:
-		if s.hasWrite && d.concurrentPlain(s.write, a.Op) {
-			d.report(s, s.write, a, false)
+		if s.flags&hasWrite != 0 && d.concurrentPlain(s.writeOp, a.Op) {
+			d.report(id, s, mem.Write, a, false)
 		}
-		s.read, s.hasRead = a, true
 	case mem.Write:
 		// Check-then-write detection: the most recent read of this
 		// location was by the same operation (operations are atomic,
 		// so that read directly preceded this write).
-		readFirst := s.hasRead && s.read.Op == a.Op
-		if s.hasWrite && d.concurrentPlain(s.write, a.Op) {
-			d.report(s, s.write, a, readFirst)
+		readFirst := s.flags&hasRead != 0 && s.readOp == a.Op
+		if s.flags&hasWrite != 0 && d.concurrentPlain(s.writeOp, a.Op) {
+			d.report(id, s, mem.Write, a, readFirst)
 		}
-		if s.hasRead && s.read.Op != a.Op && d.concurrentPlain(s.read, a.Op) {
-			d.report(s, s.read, a, readFirst)
+		if s.flags&hasRead != 0 && s.readOp != a.Op && d.concurrentPlain(s.readOp, a.Op) {
+			d.report(id, s, mem.Read, a, readFirst)
 		}
-		s.write, s.hasWrite = a, true
 	}
+	d.remember(id, s, a)
 }
 
 // concurrentPlain is the pre-epoch check: one oracle call per conflicting
 // prior access.
-func (d *Pairwise) concurrentPlain(prior Access, cur op.ID) bool {
+func (d *Pairwise) concurrentPlain(prior, cur op.ID) bool {
 	d.stats.Checks++
-	if prior.Op == cur {
+	if prior == cur {
 		return false
 	}
-	return d.oracle.Concurrent(prior.Op, cur)
+	return d.oracle.Concurrent(prior, cur)
 }
 
 // onAccessEpoch is OnAccess over the epoch representation: coordinates are
 // fetched lazily — an access with no conflicting prior never calls the
 // oracle at all — and the common same-chain case resolves with integer
 // compares only.
-func (d *Pairwise) onAccessEpoch(s *pairState, a Access) {
+func (d *Pairwise) onAccessEpoch(id uint32, s *pairState, a Access) {
+	e := d.eps.at(id)
 	ce := epochUnfetched
 	switch a.Kind {
 	case mem.Read:
-		if s.hasWrite && d.concurrentEpoch(s, s.write, &s.writeEp, true, a.Op, &ce) {
-			d.report(s, s.write, a, false)
+		if s.flags&hasWrite != 0 && d.concurrentEpoch(e, s.writeOp, &e.writeEp, true, a.Op, &ce) {
+			d.report(id, s, mem.Write, a, false)
 		}
-		s.read, s.hasRead, s.readEp = a, true, ce
+		e.readEp = ce
 	case mem.Write:
-		// Check-then-write detection: the most recent read of this
-		// location was by the same operation (operations are atomic,
-		// so that read directly preceded this write).
-		readFirst := s.hasRead && s.read.Op == a.Op
-		if s.hasWrite && d.concurrentEpoch(s, s.write, &s.writeEp, true, a.Op, &ce) {
-			d.report(s, s.write, a, readFirst)
+		// Check-then-write detection, as in OnAccess.
+		readFirst := s.flags&hasRead != 0 && s.readOp == a.Op
+		if s.flags&hasWrite != 0 && d.concurrentEpoch(e, s.writeOp, &e.writeEp, true, a.Op, &ce) {
+			d.report(id, s, mem.Write, a, readFirst)
 		}
-		if s.hasRead && s.read.Op != a.Op && d.concurrentEpoch(s, s.read, &s.readEp, false, a.Op, &ce) {
-			d.report(s, s.read, a, readFirst)
+		if s.flags&hasRead != 0 && s.readOp != a.Op && d.concurrentEpoch(e, s.readOp, &e.readEp, false, a.Op, &ce) {
+			d.report(id, s, mem.Read, a, readFirst)
 		}
-		s.write, s.hasWrite, s.writeEp = a, true, ce
-		d.demote(s)
+		e.writeEp = ce
+		d.demote(e)
 	}
+	d.remember(id, s, a)
 }
 
-func (d *Pairwise) report(s *pairState, prior, cur Access, writerReadFirst bool) {
+// report records a race between cur and the location's remembered access
+// of the given kind, rebuilding that prior access from the state: its
+// location is cur's, since both map to the same id.
+func (d *Pairwise) report(id uint32, s *pairState, kind mem.AccessKind, cur Access, writerReadFirst bool) {
 	if !d.reportAll {
-		if s.reported {
+		if s.flags&reported != 0 {
 			return
 		}
-		s.reported = true
+		s.flags |= reported
+	}
+	prior := Access{Kind: kind, Loc: cur.Loc, Op: s.writeOp, Ctx: s.writeCtx, Desc: d.descs.at(id).write}
+	if kind == mem.Read {
+		prior.Op, prior.Ctx, prior.Desc = s.readOp, s.readCtx, d.descs.at(id).read
+	}
+	if len(d.reports) == cap(d.reports) {
+		// Double: append grows large slices by only 1.25x.
+		d.reports = append(make([]Report, 0, max(16, 2*cap(d.reports))), d.reports...)
 	}
 	d.reports = append(d.reports, Report{
 		Loc:             cur.Loc,

@@ -288,20 +288,30 @@ func TestWriteAfterReadShareDemotion(t *testing.T) {
 	x := loc("x")
 	d.OnAccess(wr(x, 1))
 	d.OnAccess(rd(x, 3)) // cross-chain, ordered: mints inline cert for chain(3)
-	s := d.state[x]
+	id, ok := d.index[d.key(x)]
+	if !ok {
+		t.Fatal("accessed location was not interned")
+	}
+	s := d.eps.at(id) // pages never move, so s stays valid
 	if !s.hasCert {
 		t.Fatal("ordered cross-chain read minted no certificate")
 	}
 	d.OnAccess(rd(x, 4)) // second chain: promotes to the cert map
-	if s.hasCert || s.certs == nil {
-		t.Fatalf("read-share promotion missing: hasCert=%v certs=%v", s.hasCert, s.certs)
+	if s.hasCert || !s.shared || s.certs == 0 {
+		t.Fatalf("read-share promotion missing: hasCert=%v shared=%v certs=%d", s.hasCert, s.shared, s.certs)
 	}
-	if len(s.certs) != 2 {
-		t.Errorf("cert map has %d chains, want 2", len(s.certs))
+	if n := len(d.certs[s.certs-1]); n != 2 {
+		t.Errorf("cert map has %d chains, want 2", n)
 	}
 	d.OnAccess(wr(x, 5)) // op 5 is unordered: races, and demotes the certs
-	if s.hasCert || s.certs != nil {
-		t.Errorf("write did not demote certificates: hasCert=%v certs=%v", s.hasCert, s.certs)
+	if s.hasCert || s.shared {
+		t.Errorf("write did not demote certificates: hasCert=%v shared=%v", s.hasCert, s.shared)
+	}
+	if n := len(d.certs[s.certs-1]); n != 0 {
+		t.Errorf("demoted location kept %d certificates", n)
+	}
+	if st := d.Stats(); st.Promotions != 1 || st.Demotions != 1 {
+		t.Errorf("promotions=%d demotions=%d, want 1 and 1", st.Promotions, st.Demotions)
 	}
 	if len(d.Reports()) != 2 {
 		// 5 races with the last write (1) and the last read (4).
@@ -412,5 +422,48 @@ func TestDetectorSoundnessProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPairwiseAllocs: a location's state is interned once, so repeat
+// accesses to a known location allocate nothing, over the live graph and
+// over the epoch oracle alike; fresh locations grow pages and maps
+// geometrically, so 10k of them cost O(log n) allocations, not one each.
+func TestPairwiseAllocs(t *testing.T) {
+	g := chainGraph([2]op.ID{1, 2}, [2]op.ID{1, 3})
+	for _, o := range []hb.Oracle{g, hb.NewClocks(g)} {
+		d := NewPairwise(o)
+		x := mem.VarLoc(7, "x")
+		d.OnAccess(wr(x, 1))
+		d.OnAccess(rd(x, 2))
+		if n := testing.AllocsPerRun(100, func() {
+			d.OnAccess(rd(x, 2))
+			d.OnAccess(wr(x, 2))
+			d.OnAccess(rd(x, 1))
+		}); n != 0 {
+			t.Errorf("%T: repeat accesses allocate %.1f times per run, want 0", o, n)
+		}
+	}
+
+	const fresh = 10000
+	// Bound: the pages (one per doubling of the location count, for each
+	// of the state, Desc and epoch arrays), the index map's growth and the
+	// detector itself; per-location allocation would cost ≥ fresh.
+	const bound = 200
+	locs := make([]mem.Loc, fresh)
+	for i := range locs {
+		locs[i] = mem.VarLoc(uint64(i), "x")
+	}
+	for _, o := range []hb.Oracle{g, hb.NewClocks(g)} {
+		n := testing.AllocsPerRun(5, func() {
+			d := NewPairwise(o)
+			for _, l := range locs {
+				d.OnAccess(wr(l, 1))
+			}
+		})
+		if n > bound {
+			t.Errorf("%T: %d fresh locations allocate %.0f times, want ≤ %d", o, fresh, n, bound)
+		}
+		t.Logf("%T: %d fresh locations, %.0f allocations", o, fresh, n)
 	}
 }

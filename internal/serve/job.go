@@ -49,7 +49,8 @@ type Request struct {
 	// session (ops, happens-before edges, races) instead of the compact
 	// report.
 	Session bool `json:"session,omitempty"`
-	// Seeds is /v1/sweep's schedule count (default 8).
+	// Seeds is /v1/sweep's schedule count (default 8, at most
+	// MaxSweepSeeds).
 	Seeds int `json:"seeds,omitempty"`
 	// Mode selects /v1/sweep's strategy: "seeds" (default — N simulated
 	// schedules, union of races) or "delay-one" (baseline plus one run
@@ -154,6 +155,12 @@ const (
 	kindFaultSweep jobKind = "faultsweep"
 )
 
+// MaxSweepSeeds caps a /v1/sweep request's seeds: pool.Each's window
+// bounds a sweep's memory but not its time, so without a cap one request
+// could hold a sweep worker for as long as a billion runs take. A request
+// over the cap gets a 400 and is never enqueued.
+const MaxSweepSeeds = 1024
+
 // resolved is a request normalized to its effective inputs: the site, the
 // fully defaulted webracer.Config and endpoint parameters, and the
 // content-addressed key those inputs hash to. Two requests that differ
@@ -224,6 +231,9 @@ func (s *Server) resolve(kind jobKind, req *Request) (*resolved, error) {
 		r.seeds = req.Seeds
 		if r.seeds < 1 {
 			r.seeds = 8
+		}
+		if r.seeds > MaxSweepSeeds {
+			return nil, fmt.Errorf("seeds %d exceeds the limit of %d", r.seeds, MaxSweepSeeds)
 		}
 		switch req.Mode {
 		case "", "seeds":

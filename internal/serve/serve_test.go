@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -450,6 +451,35 @@ func TestBadRequests(t *testing.T) {
 	}
 	if got := metric(t, ts, "serve.jobs.accepted"); got != 0 {
 		t.Fatalf("invalid requests were enqueued: accepted = %d", got)
+	}
+}
+
+// TestSweepSeedsCap: a sweep over MaxSweepSeeds is refused with a 400
+// naming the limit, async or not, and nothing is enqueued; the limit
+// itself is accepted.
+func TestSweepSeedsCap(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	for _, body := range []string{
+		`{"site":` + racySite + `,"seeds":1000000000,"async":true}`,
+		`{"site":` + racySite + `,"seeds":` + strconv.Itoa(MaxSweepSeeds+1) + `}`,
+	} {
+		resp, b := post(t, ts, "/v1/sweep", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", body, resp.StatusCode, b)
+		}
+		if !strings.Contains(string(b), strconv.Itoa(MaxSweepSeeds)) {
+			t.Errorf("%s: body %q does not name the limit %d", body, b, MaxSweepSeeds)
+		}
+	}
+	if got := metric(t, ts, "serve.jobs.accepted"); got != 0 {
+		t.Fatalf("over-limit sweeps were enqueued: accepted = %d", got)
+	}
+	var req Request
+	if err := json.Unmarshal([]byte(`{"site":`+racySite+`,"seeds":`+strconv.Itoa(MaxSweepSeeds)+`}`), &req); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := s.resolve(kindSweep, &req); err != nil || r.seeds != MaxSweepSeeds {
+		t.Errorf("seeds at the limit: resolved %v, err %v", r, err)
 	}
 }
 

@@ -182,7 +182,6 @@ func replayDetector(cfg Config, res *Result) race.Detector {
 	case DetectorAccessSet:
 		return race.NewAccessSet(g, race.OnePerLoc())
 	case DetectorPairwiseVC:
-		ropts = append(ropts, race.LocHint(len(res.Browser.Trace())/4))
 		return race.NewPairwise(hb.NewClocks(g), ropts...)
 	default:
 		return race.NewPairwise(g, ropts...)
